@@ -1,9 +1,9 @@
 //! `bench_serve` — runs the serving-layer harness and writes
 //! `BENCH_serve.json` (warm multi-tenant registry throughput vs a fresh
-//! engine per request, the eviction-pressure sweep, restart-rehydration,
-//! the concurrent-client sweep over the NDJSON server, and the saturation
-//! sweep of 32–128 pipelined keep-alive connections), so the serving
-//! performance trajectory is recorded alongside the code.
+//! engine per request, the eviction-pressure sweep, the concurrent-client
+//! sweep over the NDJSON server, and the saturation sweep of 32–128
+//! pipelined keep-alive connections), so the serving performance
+//! trajectory is recorded alongside the code.
 //!
 //! ```text
 //! cargo run --release -p qvsec-bench --bin bench_serve -- \

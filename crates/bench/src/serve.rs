@@ -28,10 +28,8 @@ use crate::session::{depth_name, employee_collusion_workload, prob_collusion_wor
 use qvsec::engine::{AuditOptions, AuditRequest};
 use qvsec_cq::ConjunctiveQuery;
 use qvsec_serve::{
-    drive_scripts, request_lines, RegistryConfig, Server, ServerConfig, ServerStats,
-    SessionRegistry,
+    drive_scripts, request_lines, Server, ServerConfig, ServerStats, SessionRegistry,
 };
-use qvsec_store::{MemStore, StoreBackend};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::sync::Arc;
@@ -78,32 +76,6 @@ pub struct EvictionPoint {
     pub resident_bytes: u64,
     /// Whether every verdict matched the unbounded drive.
     pub verdicts_match: bool,
-}
-
-/// The restart-rehydration measurement: how fast a crashed server over a
-/// warm durable store gets back to its exact pre-crash serving state,
-/// against the storeless alternative of re-driving the whole request
-/// stream through a fresh engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RestartReport {
-    /// Tenants whose state the restart recovers.
-    pub tenants: usize,
-    /// Requests the storeless rebuild has to replay.
-    pub requests: usize,
-    /// Journal records the rehydration replays instead.
-    pub journal_records: u64,
-    /// Best-of-N wall clock of the storeless rebuild: a fresh engine plus
-    /// re-driving the full request stream, nanoseconds.
-    pub fresh_nanos: u64,
-    /// Best-of-N wall clock of a cold restart over the warm store: engine
-    /// build, artifact prewarm, journal replay, first stats answer,
-    /// nanoseconds.
-    pub rehydrate_nanos: u64,
-    /// `fresh_nanos / rehydrate_nanos`.
-    pub speedup: f64,
-    /// Whether the rehydrated registry's stats are byte-identical to the
-    /// pre-crash registry's.
-    pub stats_match: bool,
 }
 
 /// One client-thread count of the concurrent-serving sweep.
@@ -229,9 +201,6 @@ pub struct ServeBenchReport {
     pub eviction_sweep: Vec<EvictionPoint>,
     /// Whether every budgeted drive matched the unbounded one.
     pub eviction_verdicts_match: bool,
-    /// The restart-rehydration measurement (run on the probabilistic
-    /// workload, where re-auditing is what a store saves).
-    pub restart: RestartReport,
     /// The concurrent-client sweep over the NDJSON server (run on the
     /// probabilistic workload, where each request carries real work).
     pub concurrent: ConcurrentReport,
@@ -328,66 +297,6 @@ fn drive_fresh_engines(workload: &Workload, tenants: usize, collect: bool) -> Ve
         }
     }
     reports
-}
-
-/// Drives the workload's full multi-tenant publish stream through
-/// `registry` (the state a restart must recover).
-fn drive_stream(registry: &SessionRegistry, workload: &Workload, tenants: usize) {
-    for t in 0..tenants {
-        let tenant = format!("tenant-{t:03}");
-        registry.open(&tenant, &workload.secret).expect("open");
-        for (who, view) in &workload.steps {
-            registry
-                .publish(&tenant, None, Some(who.clone()), view.clone())
-                .expect("bench workloads audit cleanly");
-        }
-    }
-}
-
-/// A cold restart over `store`: store-backed engine build (which prewarms
-/// the artifact caches), journal replay, and the first stats answer.
-fn restart_registry(workload: &Workload, store: &Arc<dyn StoreBackend>) -> String {
-    let engine = Arc::new(workload.engine_with_store(Arc::clone(store)));
-    let registry =
-        SessionRegistry::with_store(engine, RegistryConfig::default(), Arc::clone(store))
-            .expect("replay from store");
-    serde_json::to_string(&registry.stats()).expect("stats serialize")
-}
-
-/// Measures restart-rehydration: seed a durable registry with the full
-/// stream, "crash" it, then race a cold restart over the warm store
-/// against a storeless rebuild that re-drives the stream from scratch.
-fn run_restart(workload: &Workload, tenants: usize, iterations: usize) -> RestartReport {
-    let store: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-    let seeded = {
-        let engine = Arc::new(workload.engine_with_store(Arc::clone(&store)));
-        let registry =
-            SessionRegistry::with_store(engine, RegistryConfig::default(), Arc::clone(&store))
-                .expect("fresh store replays empty");
-        drive_stream(&registry, workload, tenants);
-        registry.stats()
-    };
-    let seeded_json = serde_json::to_string(&seeded).expect("stats serialize");
-    // Replay is read-only, so the verification pass and every timed pass
-    // rehydrate the same journal.
-    let stats_match = restart_registry(workload, &store) == seeded_json;
-    let rehydrate_nanos = best_of(iterations, || {
-        restart_registry(workload, &store);
-    });
-    let fresh_nanos = best_of(iterations, || {
-        let engine = Arc::new(workload.engine_with_budget(None));
-        let registry = SessionRegistry::new(Arc::clone(&engine));
-        drive_stream(&registry, workload, tenants);
-    });
-    RestartReport {
-        tenants,
-        requests: tenants * (workload.steps.len() + 1),
-        journal_records: seeded.journal_records,
-        fresh_nanos,
-        rehydrate_nanos,
-        speedup: fresh_nanos as f64 / rehydrate_nanos.max(1) as f64,
-        stats_match,
-    }
 }
 
 /// One protocol request line with string fields, serialized through the
@@ -867,12 +776,6 @@ pub fn run_serve_bench(iterations: usize, tenants: usize, mc_samples: usize) -> 
         });
     }
 
-    // Restart-rehydration is measured on the probabilistic workload: the
-    // rebuild cost a store avoids is re-running the expensive audits, so
-    // that is where crash recovery has to prove itself (on the cheap exact
-    // workload, replaying the journal costs more than re-auditing).
-    let restart = run_restart(&workloads[1], tenants, iterations);
-
     // Concurrent clients are measured on the probabilistic workload too:
     // its requests carry enough per-request work for parallel serving to
     // matter, and the chain views exercise distinct memo shards.
@@ -895,7 +798,6 @@ pub fn run_serve_bench(iterations: usize, tenants: usize, mc_samples: usize) -> 
         workloads: reports,
         eviction_verdicts_match: eviction_sweep.iter().all(|p| p.verdicts_match),
         eviction_sweep,
-        restart,
         concurrent,
         saturation,
         instrumentation,
@@ -960,18 +862,6 @@ pub fn render_report(report: &ServeBenchReport) -> String {
             p.verdicts_match,
         );
     }
-    let r = &report.restart;
-    let _ = writeln!(
-        out,
-        "restart-rehydration ({} tenants, {} journal records): storeless rebuild {:.1} µs, \
-         cold restart over warm store {:.1} µs, {:.1}x, stats match: {}",
-        r.tenants,
-        r.journal_records,
-        r.fresh_nanos as f64 / 1000.0,
-        r.rehydrate_nanos as f64 / 1000.0,
-        r.speedup,
-        r.stats_match,
-    );
     let c = &report.concurrent;
     let _ = writeln!(
         out,

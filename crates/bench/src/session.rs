@@ -122,16 +122,6 @@ impl Workload {
         self.builder_with_budget(budget).build()
     }
 
-    /// A store-backed engine (the serve harness's restart-rehydration
-    /// measurement): artifacts write through to `store` and prewarm from
-    /// it on the next build.
-    pub(crate) fn engine_with_store(
-        &self,
-        store: std::sync::Arc<dyn qvsec_store::StoreBackend>,
-    ) -> AuditEngine {
-        self.builder_with_budget(None).store(store).build()
-    }
-
     fn builder_with_budget(&self, budget: Option<usize>) -> qvsec::engine::AuditEngineBuilder {
         let mut builder = AuditEngine::builder(self.schema.clone(), self.domain.clone())
             .default_depth(self.depth)

@@ -38,17 +38,6 @@ fn harness_matches_the_stateless_baseline_and_survives_eviction_pressure() {
         "the budget must actually bound residency"
     );
 
-    // Restart-rehydration: the rehydrated registry must be byte-identical
-    // to the pre-crash one, with one journal record per open and publish.
-    let restart = &report.restart;
-    assert!(
-        restart.stats_match,
-        "a cold restart over the warm store diverged from the pre-crash registry"
-    );
-    assert_eq!(restart.tenants, 3);
-    assert_eq!(restart.journal_records, 3 * (3 + 1));
-    assert!(restart.fresh_nanos > 0 && restart.rehydrate_nanos > 0);
-
     // The concurrent sweep rode along: every client count answered the
     // tenants byte-identically to the single-client drive.
     let concurrent = &report.concurrent;
@@ -114,7 +103,6 @@ fn harness_matches_the_stateless_baseline_and_survives_eviction_pressure() {
 
     let rendered = render_report(&report);
     assert!(rendered.contains("eviction-pressure sweep"));
-    assert!(rendered.contains("restart-rehydration"));
     assert!(rendered.contains("concurrent clients"));
     assert!(rendered.contains("saturation"));
     assert!(rendered.contains("instrumentation overhead"));
@@ -203,22 +191,6 @@ fn committed_bench_serve_json_holds_the_acceptance_criteria() {
         .iter()
         .any(|p| p.budget_bytes.is_some() && p.evictions > 0));
     assert!(report.eviction_sweep.iter().all(|p| p.verdicts_match));
-    // Restart-rehydration: byte-identity is the binding claim. The old
-    // 5x speedup floor measured how much re-auditing the store avoided;
-    // the packed-signature kernel cut the storeless rebuild from ~395 ms
-    // to ~2.5 ms at bench sizes, so rehydration's advantage now only
-    // shows on streams too large for this harness — the recording keeps
-    // the honest ratio (~1x) and the gate keeps it from regressing into
-    // a rehydration that costs multiples of a rebuild.
-    assert!(
-        report.restart.stats_match,
-        "committed restart run diverged from the pre-crash registry"
-    );
-    assert!(
-        report.restart.speedup >= 0.5,
-        "committed restart-rehydration now costs over 2x a storeless rebuild: {:.2}x",
-        report.restart.speedup
-    );
     // The concurrent-serving floor: byte-identity is unconditional; the
     // 2x-at-4-clients throughput floor only binds when the recording
     // machine actually had 4 cores to serve with.

@@ -1,5 +1,5 @@
-//! Library behind the `qvsec-cli` binary: audit-spec parsing (JSON or a
-//! TOML subset) and execution against an [`AuditEngine`].
+//! Library behind the `qvsec-cli` binary: JSON audit-spec parsing and
+//! execution against an [`AuditEngine`].
 //!
 //! A spec declares a schema, optional domain constants, an optional
 //! dictionary, engine defaults, and a list of audits:
@@ -26,10 +26,7 @@
 //! `{"sql": "SELECT name FROM Employee WHERE department = 'HR'", "name": "S4"}`
 //! (`name` is optional; see [`QuerySpec`]). Both spellings compile to the
 //! same canonical conjunctive queries, so reports are byte-identical
-//! across them. The equivalent TOML form uses `[[relations]]` and
-//! `[[audits]]` array-of-table sections.
-
-pub mod toml_subset;
+//! across them.
 
 use qvsec::engine::{AuditDepth, AuditEngine, AuditRequest};
 use qvsec::QvsError;
@@ -263,15 +260,9 @@ fn parse_depth(text: &str) -> Result<AuditDepth, CliError> {
     }
 }
 
-/// Detects the spec format and parses it. JSON when the first
-/// non-whitespace byte is `{`, the TOML subset otherwise.
+/// Parses a JSON audit spec.
 pub fn parse_spec(text: &str) -> Result<AuditSpec, CliError> {
-    let value = if text.trim_start().starts_with('{') {
-        serde_json::parse(text)?
-    } else {
-        toml_subset::parse(text).map_err(CliError::Spec)?
-    };
-    Ok(serde_json::from_value(&value)?)
+    Ok(serde_json::from_str(text)?)
 }
 
 /// Everything built from a spec: the engine and the parsed requests.
@@ -468,14 +459,9 @@ pub struct SessionSpec {
     pub steps: Vec<SessionStepSpec>,
 }
 
-/// Detects the format (JSON / TOML subset) and parses a session script.
+/// Parses a JSON session script.
 pub fn parse_session_spec(text: &str) -> Result<SessionSpec, CliError> {
-    let value = if text.trim_start().starts_with('{') {
-        serde_json::parse(text)?
-    } else {
-        toml_subset::parse(text).map_err(CliError::Spec)?
-    };
-    Ok(serde_json::from_value(&value)?)
+    Ok(serde_json::from_str(text)?)
 }
 
 /// Replays a session script and returns one JSON entry per step: the
@@ -645,12 +631,7 @@ pub fn analyze_sql(
     name: &str,
 ) -> Result<(serde_json::Value, bool), CliError> {
     use serde_json::Value;
-    let value = if spec_text.trim_start().starts_with('{') {
-        serde_json::parse(spec_text)?
-    } else {
-        toml_subset::parse(spec_text).map_err(CliError::Spec)?
-    };
-    let schema_spec: SchemaOnlySpec = serde_json::from_value(&value)?;
+    let schema_spec: SchemaOnlySpec = serde_json::from_str(spec_text)?;
     let (schema, mut domain) = build_schema_domain(&schema_spec.relations, &schema_spec.constants)?;
     let columns_value = |rel: &Schema, id: qvsec_data::RelationId| -> Value {
         Value::Array(
@@ -843,14 +824,9 @@ pub fn server_config(
     }
 }
 
-/// Detects the format (JSON / TOML subset) and parses a server spec.
+/// Parses a JSON server spec.
 pub fn parse_serve_spec(text: &str) -> Result<ServeSpec, CliError> {
-    let value = if text.trim_start().starts_with('{') {
-        serde_json::parse(text)?
-    } else {
-        toml_subset::parse(text).map_err(CliError::Spec)?
-    };
-    Ok(serde_json::from_value(&value)?)
+    Ok(serde_json::from_str(text)?)
 }
 
 /// Builds the engine and sharded registry a server spec declares. With a
@@ -953,32 +929,6 @@ mod tests {
     fn sequential_and_parallel_agree() {
         let a = run_spec(JSON_SPEC, false).unwrap();
         let b = run_spec(JSON_SPEC, true).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn toml_spec_matches_json_spec() {
-        let toml = r#"
-# Table 1 over Employee(name, department, phone)
-[[relations]]
-name = "Employee"
-attributes = ["name", "department", "phone"]
-
-[defaults]
-depth = "exact"
-
-[[audits]]
-name = "row1"
-secret = "S1(d) :- Employee(n, d, p)"
-views = ["V1(n, d) :- Employee(n, d, p)"]
-
-[[audits]]
-name = "row4"
-secret = "S4(n) :- Employee(n, 'HR', p)"
-views = ["V4(n) :- Employee(n, 'Mgmt', p)"]
-"#;
-        let a = run_spec(JSON_SPEC, false).unwrap();
-        let b = run_spec(toml, false).unwrap();
         assert_eq!(a, b);
     }
 

@@ -26,10 +26,11 @@ use crate::{QvsError, Result};
 use qvsec_cq::eval::{evaluate, Answer};
 use qvsec_cq::{ConjunctiveQuery, Term, ViewSet};
 use qvsec_data::{Dictionary, Domain, Instance, Ratio, Tuple, Value};
-use qvsec_prob::montecarlo::MonteCarloEstimator;
+use qvsec_prob::kernel::{answer_flags, CompiledQuery, SamplePool};
 use qvsec_prob::probability::event_probability;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One `(s, v̄)` pair together with its prior, posterior and relative
 /// increase.
@@ -286,8 +287,12 @@ pub fn theorem_6_1_bound(epsilon: Ratio) -> Option<Ratio> {
     Some(sq / (Ratio::ONE - sq))
 }
 
-/// Estimates `leak(S, V̄)` for a *specific* answer pair by Monte-Carlo
-/// sampling (for dictionaries too large for [`leakage_exact`]).
+/// Estimates the relative increase `(P[s ⊆ S | v̄ ⊆ V̄] − P[s ⊆ S]) /
+/// P[s ⊆ S]` for a *specific* answer pair by Monte-Carlo sampling (for
+/// dictionaries too large for [`leakage_exact`]). Prior and posterior are
+/// counted over one seeded [`SamplePool`] of `samples` worlds, so a fixed
+/// seed yields one answer. `None` when no pooled world has `s ⊆ S(I)` or
+/// `v̄ ⊆ V̄(I)`.
 pub fn leakage_estimate(
     secret: &ConjunctiveQuery,
     views: &ViewSet,
@@ -297,8 +302,27 @@ pub fn leakage_estimate(
     samples: usize,
     seed: u64,
 ) -> Option<f64> {
-    let mc = MonteCarloEstimator::new(dict, samples, seed);
-    mc.relative_leakage(secret, query_answer, views, view_answers)
+    let space = Arc::new(dict.space().clone());
+    let pool = SamplePool::generate(dict, Arc::clone(&space), samples, seed);
+    let flags = |q: &ConjunctiveQuery, answer: &[Value]| {
+        answer_flags(&pool, &CompiledQuery::compile(q, &space), Some(answer))
+    };
+    let s_in = flags(secret, query_answer);
+    let mut v_in = vec![true; pool.len()];
+    for (v, answer) in views.iter().zip(view_answers) {
+        for (all, now) in v_in.iter_mut().zip(flags(v, answer)) {
+            *all &= now;
+        }
+    }
+    let s_hits = s_in.iter().filter(|&&b| b).count();
+    let v_hits = v_in.iter().filter(|&&b| b).count();
+    if s_hits == 0 || v_hits == 0 {
+        return None;
+    }
+    let joint_hits = s_in.iter().zip(&v_in).filter(|(s, v)| **s && **v).count();
+    let prior = s_hits as f64 / pool.len() as f64;
+    let posterior = joint_hits as f64 / v_hits as f64;
+    Some((posterior - prior) / prior)
 }
 
 /// Guard helper: exact leakage is only meaningful over enumerable spaces.
@@ -449,9 +473,15 @@ mod tests {
         let v = parse_query("V(x) :- R(x, y)", &schema, &mut domain).unwrap();
         let a = domain.get("a").unwrap();
         let b = domain.get("b").unwrap();
-        let est =
-            leakage_estimate(&s, &ViewSet::single(v), &dict, &[a, b], &[vec![a]], 4000, 7).unwrap();
-        assert!(est.is_finite());
+        let views = ViewSet::single(v);
+        let estimate =
+            |samples| leakage_estimate(&s, &views, &dict, &[a, b], &[vec![a]], samples, 7);
+        // Exact: prior P[R(a,b)] = 1/2, posterior given R(a,a) ∨ R(a,b) is
+        // 2/3, so the relative increase is 1/3.
+        let est = estimate(4000).unwrap();
+        assert!((est - 1.0 / 3.0).abs() < 0.1, "estimate {est}");
+        assert_eq!(estimate(4000), Some(est), "one seed, one pool, one answer");
+        assert_eq!(estimate(0), None, "no worlds, no estimate");
     }
 
     #[test]

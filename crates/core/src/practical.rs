@@ -29,8 +29,9 @@
 use crate::{QvsError, Result};
 use qvsec_cq::{ConjunctiveQuery, Term};
 use qvsec_data::{Dictionary, Domain, Schema, TupleSpace, Value};
-use qvsec_prob::montecarlo::MonteCarloEstimator;
+use qvsec_prob::kernel::{answer_flags, CompiledQuery, SamplePool};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The asymptotic behaviour of `μ_n[Q]`: `μ_n[Q] ≈ coefficient / n^exponent`.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,8 +222,9 @@ pub fn practical_security(
 }
 
 /// Empirically estimates `μ_n[Q]` at a specific domain size `n` under the
-/// expected-size model, by Monte-Carlo sampling (exact enumeration where the
-/// tuple space is small enough is performed by the caller through
+/// expected-size model: the fraction of the worlds of one seeded
+/// [`SamplePool`] on which `Q` is true (exact enumeration where the tuple
+/// space is small enough is performed by the caller through
 /// `qvsec_prob::probability`).
 pub fn estimate_mu_n(
     query: &ConjunctiveQuery,
@@ -235,8 +237,13 @@ pub fn estimate_mu_n(
     let domain = Domain::with_size(n);
     let space = TupleSpace::full_with_cap(schema, &domain, 1 << 20)?;
     let dict = Dictionary::expected_size(schema, &domain, space, expected_size)?;
-    let mc = MonteCarloEstimator::new(&dict, samples, seed);
-    Ok(mc.boolean_probability(query))
+    let space = Arc::new(dict.space().clone());
+    let pool = SamplePool::generate(&dict, Arc::clone(&space), samples, seed);
+    let hits = answer_flags(&pool, &CompiledQuery::compile(query, &space), None)
+        .into_iter()
+        .filter(|&b| b)
+        .count();
+    Ok(hits as f64 / samples.max(1) as f64)
 }
 
 /// Returns the tuples of the canonical (most-general, all-variables-distinct)

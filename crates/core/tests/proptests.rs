@@ -208,47 +208,75 @@ proptest! {
     }
 }
 
+/// Audits `(s, views)` at `Probabilistic` depth over `dict` and checks the
+/// stage's three verdicts against the literal definitions: Def. 4.1
+/// (`check_independence`), §6.1 (`leakage_exact`) and determinacy
+/// (`is_totally_disclosed`).
+fn assert_probabilistic_stage_matches_definitions(
+    (schema, domain): (&Schema, &Domain),
+    s: &ConjunctiveQuery,
+    views: &ViewSet,
+    dict: &Dictionary,
+) {
+    let engine = qvsec::AuditEngine::builder(schema.clone(), domain.clone())
+        .dictionary(dict.clone())
+        .default_depth(qvsec::AuditDepth::Probabilistic)
+        .build();
+    let report = engine
+        .audit(&qvsec::AuditRequest::new(s.clone(), views.clone()))
+        .unwrap();
+
+    let base_ind = check_independence(s, views, dict).unwrap();
+    let ind = report.independence.unwrap();
+    assert_eq!(ind.independent, base_ind.independent);
+    assert_eq!(ind.violations, base_ind.violations);
+    assert_eq!(ind.pairs_checked, base_ind.pairs_checked);
+
+    let base_leak = qvsec::leakage::leakage_exact(s, views, dict).unwrap();
+    let leak = report.leakage.unwrap();
+    assert_eq!(leak.max_leak, base_leak.max_leak);
+    assert_eq!(leak.witness, base_leak.witness);
+    assert_eq!(leak.positive_entries, base_leak.positive_entries);
+    assert_eq!(leak.pairs_checked, base_leak.pairs_checked);
+
+    let base_total = qvsec::report::is_totally_disclosed(s, views, dict).unwrap();
+    assert_eq!(report.totally_disclosed, Some(base_total));
+}
+
 // The probabilistic kernel behind the engine's Probabilistic stage must be
 // transparent: on enumerable spaces its three verdicts are identical to the
-// preserved enumeration baselines, and under rayon-parallel batches a fixed
-// seed yields byte-identical reports.
+// literal definitions — over the paper's uniform-1/2 dictionary (integer
+// counts) and a non-uniform one (rational masses), for one view and for a
+// two-view collusion — and under rayon-parallel batches a fixed seed yields
+// byte-identical reports.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn probabilistic_stage_equals_the_enumeration_baselines(
-        s_text in query_text(), v_text in query_text()
+        s_text in query_text(), v1_text in query_text(), v2_text in query_text()
     ) {
         let schema = schema();
         let mut domain = domain();
         let s = parse(&s_text, &schema, &mut domain);
-        let v = parse(&v_text, &schema, &mut domain);
-        let views = ViewSet::single(v);
+        let v1 = parse(&v1_text, &schema, &mut domain);
+        let v2 = parse(&v2_text, &schema, &mut domain);
         let space = TupleSpace::full(&schema, &domain).unwrap();
-        let dict = Dictionary::half(space);
-        let engine = qvsec::AuditEngine::builder(schema, domain)
-            .dictionary(dict.clone())
-            .default_depth(qvsec::AuditDepth::Probabilistic)
-            .build();
-        let report = engine
-            .audit(&qvsec::AuditRequest::new(s.clone(), views.clone()))
-            .unwrap();
-
-        let base_ind = check_independence(&s, &views, &dict).unwrap();
-        let ind = report.independence.unwrap();
-        prop_assert_eq!(ind.independent, base_ind.independent);
-        prop_assert_eq!(ind.violations, base_ind.violations);
-        prop_assert_eq!(ind.pairs_checked, base_ind.pairs_checked);
-
-        let base_leak = qvsec::leakage::leakage_exact(&s, &views, &dict).unwrap();
-        let leak = report.leakage.unwrap();
-        prop_assert_eq!(leak.max_leak, base_leak.max_leak);
-        prop_assert_eq!(leak.witness, base_leak.witness);
-        prop_assert_eq!(leak.positive_entries, base_leak.positive_entries);
-        prop_assert_eq!(leak.pairs_checked, base_leak.pairs_checked);
-
-        let base_total = qvsec::report::is_totally_disclosed(&s, &views, &dict).unwrap();
-        prop_assert_eq!(report.totally_disclosed, Some(base_total));
+        let probs: Vec<Ratio> = (0..space.len())
+            .map(|i| Ratio::new(1 + (i as i128 % 3), 4))
+            .collect();
+        let dicts = [
+            Dictionary::half(space.clone()),
+            Dictionary::from_probabilities(space, probs).unwrap(),
+        ];
+        for dict in &dicts {
+            for views in [
+                ViewSet::single(v1.clone()),
+                ViewSet::from_views(vec![v1.clone(), v2.clone()]),
+            ] {
+                assert_probabilistic_stage_matches_definitions((&schema, &domain), &s, &views, dict);
+            }
+        }
     }
 }
 

@@ -71,18 +71,13 @@ impl IndependenceReport {
     }
 }
 
+/// The Definition 4.1 pair walk over a joint distribution: every `(s, v̄)`
+/// pair with `P[V̄(I) = v̄] > 0` is checked, and the violating pairs are
+/// reported sorted by decreasing absolute change (stable over the
+/// `BTreeMap` emission order). The pair walk records borrowed keys plus
+/// ratios; the (heap-heavy) answer sets are cloned only once the violation
+/// list is final.
 pub(crate) fn analyse(joint: &JointDistribution) -> IndependenceReport {
-    analyse_capped(joint, None)
-}
-
-/// [`analyse`] with a cap on the *reported* violation list. The verdict
-/// (`independent`) and `pairs_checked` always cover every pair; violations
-/// are materialized **lazily** — the pair walk records borrowed keys plus
-/// ratios, and the (heap-heavy) answer sets are cloned only for the at most
-/// `cap` entries surviving the sort. `None` reports everything,
-/// byte-identical to the historical output (the sort is stable over the
-/// same emission order with the same key).
-pub(crate) fn analyse_capped(joint: &JointDistribution, cap: Option<usize>) -> IndependenceReport {
     let mass = joint.total_mass;
     let marginal_q = joint.marginal_query();
     let marginal_v = joint.marginal_views();
@@ -120,8 +115,7 @@ pub(crate) fn analyse_capped(joint: &JointDistribution, cap: Option<usize>) -> I
     let independent = violating.is_empty();
     violating
         .sort_by_key(|(_, _, prior, posterior)| std::cmp::Reverse((*posterior - *prior).abs()));
-    let keep = cap.unwrap_or(usize::MAX).min(violating.len());
-    let violations = violating[..keep]
+    let violations = violating
         .iter()
         .map(|(s_ans, v_ans, prior, posterior)| Violation {
             query_answer: (*s_ans).clone(),

@@ -1,10 +1,10 @@
-//! Definition 4.1 marginals computed directly over packed signatures.
+//! Definition 4.1 marginals and Section 6.1 leakage computed directly over
+//! packed signatures.
 //!
-//! The decoding analysis ([`super::ProbKernel`]'s `decode_baseline` path)
-//! expands every distinct signature into `(AnswerSet, Vec<AnswerSet>)` keys
-//! and walks the marginal pair grid over `BTreeMap`s of those heap-heavy
-//! sets. This module computes the same verdict without materializing a
-//! single `AnswerSet` until a violation is actually reported:
+//! The literal definitions walk `(AnswerSet, Vec<AnswerSet>)` keys over
+//! `BTreeMap`s of heap-heavy sets. This module computes the same verdicts
+//! without materializing a single `AnswerSet` until a violation is actually
+//! reported:
 //!
 //! * marginals are accumulated per packed **slice** (the secret's words,
 //!   the concatenated view words) in one pass over the signature list;
@@ -18,10 +18,20 @@
 //!   `Ratio` normalization (gcd) is deferred to the at-most-`cap` entries
 //!   that survive;
 //! * the violation sort is replaced by a bounded top-K selection whose
-//!   output provably equals the head of the baseline's stable sort.
+//!   output provably equals the head of the literal definition's stable
+//!   sort.
 //!
-//! Byte-identity of the resulting reports against the decoding baseline is
-//! enforced by `tests/marginal_equivalence.rs`.
+//! The oracles are the definitions themselves. On the exact path the
+//! engine's reports are proptested equal to `check_independence`,
+//! `leakage_exact` and `is_totally_disclosed` (`crates/core/tests/
+//! proptests.rs`, ½ and non-uniform dictionaries, one and two views), and
+//! the kernel's own Definition 4.1 report serializes to the same bytes as
+//! `check_independence` (`crates/prob/tests/marginal_equivalence.rs`). On
+//! the Monte-Carlo path `super::mc_oracle` evaluates `S` and `V̄` on every
+//! pooled world with `qvsec_cq::eval::evaluate`, runs the Definition 4.1
+//! walk over the empirical joint distribution and a Section 6.1 loop over
+//! the same worlds, and applies [`super::significant_f64`] with the very
+//! arguments used here.
 
 use super::compile::CompiledQuery;
 use super::{significant_f64, view_combos, KernelLeakEntry, KernelLeakage};
@@ -170,8 +180,8 @@ impl<K: Ord> PartialEq for Cand<K> {
 impl<K: Ord> Eq for Cand<K> {}
 
 /// Collects violating pairs, keeping either everything (`cap = None`) or a
-/// bounded top-K whose final order equals the head of the baseline's
-/// stable `sort_by_key(Reverse(key))` over emission order.
+/// bounded top-K whose final order equals the head of a stable
+/// `sort_by_key(Reverse(key))` over emission order.
 struct TopViolations<K: Ord + Copy> {
     cap: Option<usize>,
     all: Vec<Cand<K>>,
@@ -213,7 +223,7 @@ impl<K: Ord + Copy> TopViolations<K> {
     }
 
     /// The kept candidates, best first (identical to the first
-    /// `min(cap, total)` entries of the baseline's stable sort).
+    /// `min(cap, total)` entries of the stable sort).
     fn into_sorted(self) -> (Vec<Cand<K>>, usize) {
         let total = self.total;
         let sorted = match self.cap {
@@ -309,9 +319,7 @@ fn materialize_violations<K: Ord + Copy>(
 /// The Definition 4.1 independence verdict from **count** weights (uniform
 /// world mass: the exact path over an all-`1/2` dictionary with `total =
 /// 2^n`, or the Monte-Carlo pool with `total = |pool|`). With `mc_filter`
-/// the 3σ significance test of the Monte-Carlo baseline is applied, on the
-/// bit-identical `f64`s (`to_f64` of a reduced `a/b` and plain `c/n`
-/// division agree: IEEE division of the same rational rounds identically).
+/// only deviations passing the 3σ test [`significant_f64`] are violations.
 pub(crate) fn independence_packed_counts(
     compiled: &[Arc<CompiledQuery>],
     offsets: &[usize],
@@ -427,10 +435,11 @@ pub(crate) fn independence_packed_masses(
 }
 
 /// The Section 6.1 leakage measure from **count** weights: the one-walk
-/// aggregation of [`super::ProbKernel`]'s signature leakage with plain
+/// aggregation of the kernel's mass-weighted signature leakage with plain
 /// `u64` accumulators, `Ratio`s built only for the (few) `(answer, combo)`
 /// pairs. Emission stays answer-major, so the stable sort tie-breaks
-/// identically to the mass-weighted baseline.
+/// identically to `leakage_exact`. With `mc_filter` only increases passing
+/// the 3σ test [`significant_f64`] are reported.
 pub(crate) fn leakage_packed_counts(
     compiled: &[Arc<CompiledQuery>],
     offsets: &[usize],

@@ -1,0 +1,256 @@
+//! The Monte-Carlo path against the paper's definitions, evaluated on the
+//! pooled worlds themselves.
+//!
+//! The kernel estimates Definition 4.1 and Section 6.1 from packed signature
+//! counts over its shared `SamplePool`. This oracle recomputes every
+//! verdict from scratch over the same worlds: each pooled world becomes an
+//! [`Instance`] and `S` and every view are evaluated on it with
+//! [`evaluate`]. The Definition 4.1 walk ([`analyse`]) then runs over the
+//! empirical joint distribution, and a Section 6.1 loop counts prior,
+//! conditioning and joint worlds per `(s, v̄)` pair. Both keep exactly the
+//! pairs that pass [`significant_f64`] with the arguments the packed path
+//! passes. The kernel's audit must equal the oracle's.
+
+use super::{significant_f64, KernelConfig, KernelLeakEntry, KernelLeakage, ProbKernel};
+use crate::independence::{analyse, IndependenceReport, Violation};
+use crate::probability::JointDistribution;
+use proptest::prelude::*;
+use qvsec_cq::eval::{evaluate, Answer, AnswerSet};
+use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
+use qvsec_data::{Dictionary, Domain, Instance, Ratio, Schema, TupleSpace};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+type Outcome = (AnswerSet, Vec<AnswerSet>);
+
+/// Definition 4.1 over the pool's empirical joint distribution, keeping the
+/// violations that pass the 3σ test.
+fn independence_oracle(outcomes: &[Outcome]) -> IndependenceReport {
+    let n = outcomes.len() as u64;
+    let mut joint: BTreeMap<&Outcome, u64> = BTreeMap::new();
+    let mut secret_counts: BTreeMap<&AnswerSet, u64> = BTreeMap::new();
+    let mut view_counts: BTreeMap<&Vec<AnswerSet>, u64> = BTreeMap::new();
+    for outcome in outcomes {
+        *joint.entry(outcome).or_insert(0) += 1;
+        *secret_counts.entry(&outcome.0).or_insert(0) += 1;
+        *view_counts.entry(&outcome.1).or_insert(0) += 1;
+    }
+    let empirical = JointDistribution::from_parts(
+        joint
+            .iter()
+            .map(|(&k, &c)| (k.clone(), Ratio::new(c as i128, n as i128)))
+            .collect(),
+        Ratio::ONE,
+    );
+    let all = analyse(&empirical);
+    let n_f = n as f64;
+    let violations: Vec<Violation> = all
+        .violations
+        .into_iter()
+        .filter(|v| {
+            let c_s = secret_counts[&v.query_answer];
+            let c_v = view_counts[&v.view_answers];
+            let key = (v.query_answer.clone(), v.view_answers.clone());
+            let c_j = joint.get(&key).copied().unwrap_or(0);
+            significant_f64(c_s as f64 / n_f, c_j as f64 / c_v as f64, n_f, c_v as f64)
+        })
+        .collect();
+    IndependenceReport {
+        independent: violations.is_empty(),
+        violations,
+        pairs_checked: all.pairs_checked,
+    }
+}
+
+/// The Section 6.1 measure over the pooled worlds: every possible secret
+/// answer against every combination of one possible answer per view
+/// (earlier views varying slowest), keeping the positive increases that
+/// pass the 3σ test.
+fn leakage_oracle(
+    outcomes: &[Outcome],
+    space: &TupleSpace,
+    s: &ConjunctiveQuery,
+    views: &ViewSet,
+) -> KernelLeakage {
+    let n = outcomes.len() as i128;
+    let n_f = n as f64;
+    let saturated = Instance::from_tuples(space.iter().cloned());
+    let possible =
+        |q: &ConjunctiveQuery| -> Vec<Answer> { evaluate(q, &saturated).into_iter().collect() };
+    let mut combos: Vec<Vec<Answer>> = vec![Vec::new()];
+    for v in views.iter() {
+        let answers = possible(v);
+        combos = combos
+            .iter()
+            .flat_map(|c| {
+                answers.iter().map(move |a| {
+                    let mut next = c.clone();
+                    next.push(a.clone());
+                    next
+                })
+            })
+            .collect();
+    }
+    let mut report = KernelLeakage::default();
+    let mut positives: Vec<KernelLeakEntry> = Vec::new();
+    for s_ans in possible(s) {
+        let c_prior = outcomes.iter().filter(|o| o.0.contains(&s_ans)).count() as i128;
+        if c_prior == 0 {
+            continue;
+        }
+        let prior = Ratio::new(c_prior, n);
+        for combo in &combos {
+            report.pairs_checked += 1;
+            let given: Vec<&Outcome> = outcomes
+                .iter()
+                .filter(|o| o.1.iter().zip(combo).all(|(set, a)| set.contains(a)))
+                .collect();
+            if given.is_empty() {
+                continue;
+            }
+            let c_cond = given.len() as i128;
+            let c_joint = given.iter().filter(|o| o.0.contains(&s_ans)).count() as i128;
+            let posterior = Ratio::new(c_joint, c_cond);
+            let relative = (posterior - prior) / prior;
+            if relative > Ratio::ZERO
+                && significant_f64(
+                    prior.to_f64(),
+                    posterior.to_f64(),
+                    n_f,
+                    (Ratio::new(c_cond, n).to_f64() * n_f).max(1.0),
+                )
+            {
+                positives.push(KernelLeakEntry {
+                    query_answer: s_ans.clone(),
+                    view_answers: combo.clone(),
+                    prior,
+                    posterior,
+                    relative_increase: relative,
+                });
+            }
+        }
+    }
+    positives.sort_by_key(|e| std::cmp::Reverse(e.relative_increase));
+    if let Some(top) = positives.first() {
+        report.max_leak = top.relative_increase;
+        report.witness = Some(top.clone());
+    }
+    report.positive_entries = positives;
+    report
+}
+
+/// Runs the kernel's Monte-Carlo audit of `(s, views)` and checks it
+/// against the oracle over the kernel's own pool.
+fn assert_matches_oracle(
+    dict: &Arc<Dictionary>,
+    samples: usize,
+    seed: u64,
+    s: &ConjunctiveQuery,
+    views: &ViewSet,
+) {
+    let config = KernelConfig {
+        exact_cutover: 0,
+        samples,
+        seed,
+        ..KernelConfig::default()
+    };
+    let kernel = ProbKernel::new(Arc::clone(dict), config);
+    let audit = kernel.evaluate(s, views).unwrap();
+    let pool = kernel.shared_pool();
+    let outcomes: Vec<Outcome> = pool
+        .worlds()
+        .iter()
+        .map(|w| {
+            let world = Instance::from_tuples(w.iter().cloned());
+            let view_answers = views.iter().map(|v| evaluate(v, &world)).collect();
+            (evaluate(s, &world), view_answers)
+        })
+        .collect();
+
+    let independence = independence_oracle(&outcomes);
+    assert_eq!(audit.independence.independent, independence.independent);
+    assert_eq!(audit.independence.pairs_checked, independence.pairs_checked);
+    assert_eq!(audit.independence.violations, independence.violations);
+    assert_eq!(
+        audit.leakage,
+        leakage_oracle(&outcomes, pool.space(), s, views)
+    );
+    let mut secret_of: BTreeMap<&Vec<AnswerSet>, &AnswerSet> = BTreeMap::new();
+    let determined = outcomes
+        .iter()
+        .all(|(s_out, v_out)| *secret_of.entry(v_out).or_insert(s_out) == s_out);
+    assert_eq!(audit.totally_disclosed, determined);
+}
+
+/// Random conjunctive query text over R/2 (same shape as the kernel
+/// proptests).
+fn query_text() -> impl Strategy<Value = String> {
+    let term = prop_oneof![
+        3 => Just("x0".to_string()),
+        3 => Just("x1".to_string()),
+        2 => Just("x2".to_string()),
+        2 => Just("'a'".to_string()),
+        2 => Just("'b'".to_string()),
+    ];
+    let atom = (term.clone(), term).prop_map(|(a, b)| format!("R({a}, {b})"));
+    (proptest::collection::vec(atom, 1..3), proptest::bool::ANY).prop_map(|(atoms, boolean)| {
+        let body = atoms.join(", ");
+        if boolean {
+            return format!("Q() :- {body}");
+        }
+        let head_var = atoms[0]
+            .trim_start_matches("R(")
+            .trim_end_matches(')')
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .find(|t| t.starts_with('x'));
+        match head_var {
+            Some(v) => format!("Q({v}) :- {body}"),
+            None => format!("Q() :- {body}"),
+        }
+    })
+}
+
+/// Audits `S` against `V1` alone and against `(V1, V2)` over the uniform
+/// `1/2` dictionary on R/2 × {a, b}.
+fn check_one_and_two_views(texts: [&str; 3], samples: usize, seed: u64) {
+    let mut schema = Schema::new();
+    schema.add_relation("R", &["x", "y"]);
+    let mut domain = Domain::with_constants(["a", "b"]);
+    let [s, v1, v2] =
+        texts.map(|t| parse_query(t, &schema, &mut domain).expect("generated query parses"));
+    let dict = Arc::new(Dictionary::half(
+        TupleSpace::full(&schema, &domain).unwrap(),
+    ));
+    assert_matches_oracle(&dict, samples, seed, &s, &ViewSet::single(v1.clone()));
+    assert_matches_oracle(&dict, samples, seed, &s, &ViewSet::from_views(vec![v1, v2]));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // A 2,048-world pool: the audit equals the definitions on its worlds.
+    #[test]
+    fn monte_carlo_audits_equal_the_empirical_definitions(
+        s_text in query_text(),
+        v1_text in query_text(),
+        v2_text in query_text(),
+        seed in 0u64..1024,
+    ) {
+        check_one_and_two_views([&s_text, &v1_text, &v2_text], 2048, seed);
+    }
+
+    // The 3σ significance edge: a tiny pool makes the sampled deviations
+    // noisy, so many pairs land near the threshold — the packed path must
+    // make the oracle's keep/suppress call on every one of them.
+    #[test]
+    fn tiny_pool_three_sigma_edge_cases_equal_the_empirical_definitions(
+        s_text in query_text(),
+        v1_text in query_text(),
+        v2_text in query_text(),
+        seed in 0u64..4096,
+        samples in 32usize..256,
+    ) {
+        check_one_and_two_views([&s_text, &v1_text, &v2_text], samples, seed);
+    }
+}

@@ -25,6 +25,8 @@
 pub mod compile;
 pub mod exact;
 pub(crate) mod marginals;
+#[cfg(test)]
+mod mc_oracle;
 pub mod montecarlo;
 pub mod pool;
 pub mod stats;
@@ -32,20 +34,18 @@ pub mod stats;
 pub use compile::CompiledQuery;
 pub use exact::{stream_exact, stream_exact_counts, SignatureDistribution};
 pub use montecarlo::{
-    count_signatures, count_signatures_from_columns, world_column, SignatureCounts,
+    answer_flags, count_signatures, count_signatures_from_columns, world_column, SignatureCounts,
 };
 pub use pool::{SamplePool, POOL_CHUNK};
 pub use stats::{ProbStats, ProbStatsSnapshot};
 
-use crate::independence::{analyse_capped, IndependenceReport, Violation};
-use crate::probability::JointDistribution;
-use qvsec_cq::eval::{Answer, AnswerSet};
+use crate::independence::IndependenceReport;
+use qvsec_cq::eval::Answer;
 use qvsec_cq::{canonical_form, ConjunctiveQuery, ViewSet};
 use qvsec_data::bitset::MAX_ENUMERABLE;
 use qvsec_data::{Dictionary, Ratio, Result, ShardedLruCache, TupleSpace};
 use qvsec_store::{StoreBackend, StoreOp};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Store namespace of persisted query compilations (answers + minimal
@@ -94,12 +94,6 @@ pub struct KernelConfig {
     /// baseline.
     #[serde(default)]
     pub report_cap: Option<usize>,
-    /// Use the historical `AnswerSet`-decoding analysis instead of the
-    /// packed-marginal fast path (`marginals`). The two are byte-identical
-    /// by construction (proptested in `tests/marginal_equivalence.rs`); the
-    /// flag exists so the decoding path survives as a differential baseline.
-    #[serde(default)]
-    pub decode_baseline: bool,
     /// Memoize whole [`KernelAudit`]s keyed by the canonical forms of
     /// `(secret, views)`: a repeated audit — a warm session step, a second
     /// tenant running the same script — returns the cached verdict without
@@ -121,7 +115,6 @@ impl Default for KernelConfig {
             compile_budget: None,
             column_budget: None,
             report_cap: None,
-            decode_baseline: false,
             audit_memo: false,
             audit_budget: None,
         }
@@ -592,7 +585,7 @@ impl ProbKernel {
             // Uniform-`1/2` dictionaries (the paper's models) give every
             // world the same mass, so the signature distribution is a plain
             // count histogram and the whole analysis runs on integers.
-            if !self.config.decode_baseline && self.uniform_half() {
+            if self.uniform_half() {
                 let counts = stream_exact_counts(&self.dict, &compiled, &self.stats)?;
                 Ok(self.analyse_exact_counts(&compiled, &offsets, &counts))
             } else {
@@ -615,25 +608,14 @@ impl ProbKernel {
             // The leakage and total-disclosure passes are served from the
             // same per-world signatures the independence pass computed.
             self.stats.add_samples_reused(2 * pool.len() as u64);
-            if self.config.decode_baseline {
-                Ok(analyse_mc(
-                    &compiled,
-                    &offsets,
-                    &counts,
-                    &pool,
-                    self.space.len(),
-                    self.config.report_cap,
-                ))
-            } else {
-                Ok(analyse_mc_packed(
-                    &compiled,
-                    &offsets,
-                    &counts,
-                    &pool,
-                    self.space.len(),
-                    self.config.report_cap,
-                ))
-            }
+            Ok(analyse_mc_packed(
+                &compiled,
+                &offsets,
+                &counts,
+                &pool,
+                self.space.len(),
+                self.config.report_cap,
+            ))
         }
     }
 
@@ -658,18 +640,14 @@ impl ProbKernel {
         }
     }
 
-    /// Exact analysis over mass-weighted signatures: the packed-marginal
-    /// path by default, the historical `AnswerSet`-decoding analysis when
-    /// [`KernelConfig::decode_baseline`] is set.
+    /// Exact analysis over mass-weighted signatures (general dictionaries):
+    /// packed marginals with `Ratio` weights.
     fn analyse_exact(
         &self,
         compiled: &[Arc<CompiledQuery>],
         offsets: &[usize],
         dist: SignatureDistribution,
     ) -> KernelAudit {
-        if self.config.decode_baseline {
-            return self.analyse_exact_decoded(compiled, offsets, dist);
-        }
         let entries: Vec<(Vec<u64>, Ratio)> = dist.entries.into_iter().collect();
         let borrowed: Vec<(&[u64], Ratio)> = entries
             .iter()
@@ -681,8 +659,7 @@ impl ProbKernel {
             &borrowed,
             self.config.report_cap,
         );
-        let leakage =
-            leakage_from_signatures(compiled, offsets, &entries, None, self.config.report_cap);
+        let leakage = leakage_from_signatures(compiled, offsets, &entries, self.config.report_cap);
         let totally_disclosed = determined(entries.iter().map(|(sig, _)| sig.as_slice()), offsets);
         KernelAudit {
             independence,
@@ -730,39 +707,6 @@ impl ProbKernel {
             estimator: self.exact_estimator(),
         }
     }
-
-    /// The preserved decoding analysis: rebuild the joint distribution of
-    /// Definition 4.1 over decoded answer sets and reuse the enumeration
-    /// baseline's own walk, so the verdict is identical to
-    /// `check_independence` by construction.
-    fn analyse_exact_decoded(
-        &self,
-        compiled: &[Arc<CompiledQuery>],
-        offsets: &[usize],
-        dist: SignatureDistribution,
-    ) -> KernelAudit {
-        let entries: Vec<(Vec<u64>, Ratio)> = dist.entries.into_iter().collect();
-        let mut joint: BTreeMap<(AnswerSet, Vec<AnswerSet>), Ratio> = BTreeMap::new();
-        let mut total_mass = Ratio::ZERO;
-        for (sig, p) in &entries {
-            let (s_ans, v_ans) = decode_signature(sig, compiled, offsets);
-            *joint.entry((s_ans, v_ans)).or_insert(Ratio::ZERO) += *p;
-            total_mass += *p;
-        }
-        let independence = analyse_capped(
-            &JointDistribution::from_parts(joint, total_mass),
-            self.config.report_cap,
-        );
-        let leakage =
-            leakage_from_signatures(compiled, offsets, &entries, None, self.config.report_cap);
-        let totally_disclosed = determined(entries.iter().map(|(sig, _)| sig.as_slice()), offsets);
-        KernelAudit {
-            independence,
-            leakage,
-            totally_disclosed,
-            estimator: self.exact_estimator(),
-        }
-    }
 }
 
 /// Approximate resident bytes of a memoized audit: a fixed overhead for
@@ -780,21 +724,6 @@ fn sig_offsets(compiled: &[Arc<CompiledQuery>]) -> Vec<usize> {
         offsets.push(offsets.last().unwrap() + q.sig_words());
     }
     offsets
-}
-
-/// Decodes a packed signature into the `(S(I), V̄(I))` answer sets.
-fn decode_signature(
-    sig: &[u64],
-    compiled: &[Arc<CompiledQuery>],
-    offsets: &[usize],
-) -> (AnswerSet, Vec<AnswerSet>) {
-    let s_ans = compiled[0].decode(&sig[offsets[0]..offsets[1]]);
-    let v_ans = compiled[1..]
-        .iter()
-        .zip(offsets[1..].windows(2))
-        .map(|(q, w)| q.decode(&sig[w[0]..w[1]]))
-        .collect();
-    (s_ans, v_ans)
 }
 
 /// Whether the secret slice of every signature is a function of the view
@@ -835,11 +764,9 @@ pub(crate) fn view_combos(views: &[Arc<CompiledQuery>]) -> Vec<Vec<usize>> {
     combos
 }
 
-/// The Section 6.1 leakage measure over a signature distribution. With
-/// `mc_total = None` the weights are exact masses and every positive
-/// relative increase is reported (matching `leakage_exact`); with
-/// `mc_total = Some(n)` the weights are sample fractions and only increases
-/// beyond three standard errors are reported.
+/// The Section 6.1 leakage measure over an exact mass-weighted signature
+/// distribution: every positive relative increase is reported (matching
+/// `leakage_exact`).
 ///
 /// The aggregation is near-linear in the signature list: the per-pair joint
 /// masses `P[s ⊆ S ∧ v̄ ⊆ V̄]` are **indexed by secret-answer bit** in one
@@ -859,7 +786,6 @@ fn leakage_from_signatures(
     compiled: &[Arc<CompiledQuery>],
     offsets: &[usize],
     entries: &[(Vec<u64>, Ratio)],
-    mc_total: Option<u64>,
     cap: Option<usize>,
 ) -> KernelLeakage {
     let secret = &compiled[0];
@@ -928,14 +854,7 @@ fn leakage_from_signatures(
             }
             let posterior = joint[i * combos.len() + ci] / c;
             let relative = (posterior - prior) / prior;
-            let include = match mc_total {
-                None => relative > Ratio::ZERO,
-                Some(n) => {
-                    relative > Ratio::ZERO
-                        && significant(prior, posterior, n as f64, (c.to_f64() * n as f64).max(1.0))
-                }
-            };
-            if include {
+            if relative > Ratio::ZERO {
                 positives.push(Positive {
                     answer: i,
                     combo: ci,
@@ -970,26 +889,21 @@ fn leakage_from_signatures(
     report
 }
 
-/// Whether `posterior − prior` exceeds three combined standard errors for
-/// binomial estimates over `n` (prior) and `n_cond` (posterior) samples.
-fn significant(prior: Ratio, posterior: Ratio, n: f64, n_cond: f64) -> bool {
-    significant_f64(prior.to_f64(), posterior.to_f64(), n, n_cond)
-}
-
-/// [`significant`] on pre-divided probabilities. The packed count path
-/// feeds `c/n` divisions directly; they are bit-identical to `to_f64` of
-/// the reduced `Ratio`s (IEEE division of the same rational value rounds
-/// to the same double).
+/// Whether `q − p` exceeds three combined standard errors for binomial
+/// estimates over `n` (prior `p`) and `n_cond` (posterior `q`) samples. The
+/// packed count path feeds `c/n` divisions directly; they are bit-identical
+/// to `to_f64` of the reduced `Ratio`s (IEEE division of the same rational
+/// value rounds to the same double).
 pub(crate) fn significant_f64(p: f64, q: f64, n: f64, n_cond: f64) -> bool {
     let sigma = (p * (1.0 - p) / n).sqrt() + (q * (1.0 - q) / n_cond).sqrt();
     (q - p).abs() > 3.0 * sigma
 }
 
-/// The packed Monte-Carlo analysis: identical verdicts to [`analyse_mc`]
-/// (the preserved decoding baseline) computed straight over the packed
-/// signature counts — integer marginals, `u128` cross-multiplied
-/// independence tests, the same 3σ filter on bit-identical `f64`s, and no
-/// `AnswerSet` decoded until a violation or leak entry is reported.
+/// The Monte-Carlo analysis: the three verdicts from pooled signature
+/// counts, reported as exact count ratios with a 3σ significance filter on
+/// violations and leak entries — integer marginals, `u128` cross-multiplied
+/// independence tests, and no `AnswerSet` decoded until a violation or leak
+/// entry is reported.
 fn analyse_mc_packed(
     compiled: &[Arc<CompiledQuery>],
     offsets: &[usize],
@@ -1009,93 +923,6 @@ fn analyse_mc_packed(
     let leakage =
         marginals::leakage_packed_counts(compiled, offsets, &entries, n, true, report_cap);
     let totally_disclosed = determined(entries.iter().map(|(sig, _)| *sig), offsets);
-    KernelAudit {
-        independence,
-        leakage,
-        totally_disclosed,
-        estimator: EstimatorReport {
-            mode: EstimatorMode::MonteCarlo,
-            space_size,
-            worlds_streamed: 0,
-            sample_count: pool.len(),
-            seed: Some(pool.seed()),
-            std_error: 0.5 / (n as f64).sqrt(),
-        },
-    }
-}
-
-/// The Monte-Carlo analysis: the same three verdicts, from pooled
-/// signature counts, reported as exact count ratios with a 3σ
-/// significance filter on violations and leak entries.
-fn analyse_mc(
-    compiled: &[Arc<CompiledQuery>],
-    offsets: &[usize],
-    counts: &SignatureCounts,
-    pool: &SamplePool,
-    space_size: usize,
-    report_cap: Option<usize>,
-) -> KernelAudit {
-    let n = counts.total.max(1);
-    // Decoded joint counts for the independence marginals.
-    let mut joint: BTreeMap<(AnswerSet, Vec<AnswerSet>), u64> = BTreeMap::new();
-    for (sig, c) in &counts.counts {
-        let key = decode_signature(sig, compiled, offsets);
-        *joint.entry(key).or_insert(0) += c;
-    }
-    let mut marginal_q: BTreeMap<&AnswerSet, u64> = BTreeMap::new();
-    let mut marginal_v: BTreeMap<&Vec<AnswerSet>, u64> = BTreeMap::new();
-    for ((s, v), &c) in &joint {
-        *marginal_q.entry(s).or_insert(0) += c;
-        *marginal_v.entry(v).or_insert(0) += c;
-    }
-    // Like `analyse_capped`: record violating pairs by reference, sort,
-    // and clone answer sets only for the entries that survive the cap.
-    let mut by_secret: BTreeMap<&AnswerSet, BTreeMap<&Vec<AnswerSet>, u64>> = BTreeMap::new();
-    for ((s, v), &c) in &joint {
-        by_secret.entry(s).or_default().insert(v, c);
-    }
-    let mut violating: Vec<(&AnswerSet, &Vec<AnswerSet>, Ratio, Ratio)> = Vec::new();
-    let mut pairs = 0usize;
-    for (s_ans, &c_s) in &marginal_q {
-        let prior = Ratio::new(c_s as i128, n as i128);
-        let row = by_secret.get(s_ans);
-        for (v_ans, &c_v) in &marginal_v {
-            if c_v == 0 {
-                continue;
-            }
-            pairs += 1;
-            let c_joint = row.and_then(|r| r.get(v_ans)).copied().unwrap_or(0);
-            let posterior = Ratio::new(c_joint as i128, c_v as i128);
-            if posterior != prior && significant(prior, posterior, n as f64, c_v as f64) {
-                violating.push((*s_ans, *v_ans, prior, posterior));
-            }
-        }
-    }
-    violating
-        .sort_by_key(|(_, _, prior, posterior)| std::cmp::Reverse((*posterior - *prior).abs()));
-    let independent = violating.is_empty();
-    let keep = report_cap.unwrap_or(usize::MAX).min(violating.len());
-    let independence = IndependenceReport {
-        independent,
-        violations: violating[..keep]
-            .iter()
-            .map(|(s_ans, v_ans, prior, posterior)| Violation {
-                query_answer: (*s_ans).clone(),
-                view_answers: (*v_ans).clone(),
-                prior: *prior,
-                posterior: *posterior,
-            })
-            .collect(),
-        pairs_checked: pairs,
-    };
-
-    let entries: Vec<(Vec<u64>, Ratio)> = counts
-        .counts
-        .iter()
-        .map(|(sig, &c)| (sig.clone(), Ratio::new(c as i128, n as i128)))
-        .collect();
-    let leakage = leakage_from_signatures(compiled, offsets, &entries, Some(n), report_cap);
-    let totally_disclosed = determined(counts.counts.keys().map(|s| s.as_slice()), offsets);
     KernelAudit {
         independence,
         leakage,

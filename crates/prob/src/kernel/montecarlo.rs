@@ -7,9 +7,14 @@
 //! leakage and total-disclosure passes are all computed from the resulting
 //! counts — the passes share one sample set by construction, where the
 //! pre-kernel code re-sampled per pass and per view.
+//!
+//! The pool is also the workspace's only Monte-Carlo estimator outside the
+//! audit path: single-event estimates (`leakage_estimate`, `estimate_mu_n`)
+//! count over [`answer_flags`].
 
 use super::compile::CompiledQuery;
 use super::pool::SamplePool;
+use qvsec_data::Value;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,6 +61,31 @@ pub fn world_column(pool: &SamplePool, q: &CompiledQuery) -> Vec<u64> {
         })
         .collect();
     per_chunk.into_iter().flatten().collect()
+}
+
+/// One flag per pooled world, in draw order: whether `q`'s answer set on
+/// that world contains `answer` or, with `answer = None`, is non-empty (a
+/// boolean query is true). An answer `q` can never produce is never
+/// contained.
+pub fn answer_flags(pool: &SamplePool, q: &CompiledQuery, answer: Option<&[Value]>) -> Vec<bool> {
+    let words = q.sig_words();
+    let index = match answer {
+        None => None,
+        Some(a) => match q.answers().binary_search_by(|x| x.as_slice().cmp(a)) {
+            Ok(i) => Some(i),
+            Err(_) => return vec![false; pool.len()],
+        },
+    };
+    if words == 0 {
+        return vec![false; pool.len()];
+    }
+    world_column(pool, q)
+        .chunks(words)
+        .map(|bits| match index {
+            Some(i) => q.answer_bit(bits, i),
+            None => bits.iter().any(|&w| w != 0),
+        })
+        .collect()
 }
 
 /// Counts signatures by concatenating the queries' precomputed world

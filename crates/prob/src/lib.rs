@@ -12,13 +12,13 @@
 //!   polynomials, together with the properties of Proposition 4.13
 //!   ([`poly`]),
 //! * lineage (supporting tuple sets and DNF witnesses) used to build reduced
-//!   tuple spaces and asymptotic estimates ([`lineage`]),
-//! * Monte-Carlo estimators for dictionaries too large for exhaustive
-//!   enumeration ([`montecarlo`]), and
+//!   tuple spaces and asymptotic estimates ([`lineage`]), and
 //! * the **shared-sample probabilistic kernel** ([`kernel`]): the scalable
 //!   path behind the engine's `Probabilistic` stage — exact mask streaming
 //!   with an automatic cutover to batched Monte-Carlo over a seeded sample
-//!   pool reused across passes and audits.
+//!   pool reused across passes and audits. Its pool is the workspace's one
+//!   Monte-Carlo estimator: spaces too large to enumerate are estimated
+//!   through [`kernel::SamplePool`] and [`kernel::world_column`].
 //!
 //! All exact computations use the [`qvsec_data::Ratio`] rational type, so the
 //! numbers of the paper's worked examples (`3/16`, `1/3`, `1/4`, ...) are
@@ -31,7 +31,8 @@ pub mod entropy;
 pub mod independence;
 pub mod kernel;
 pub mod lineage;
-pub mod montecarlo;
+#[cfg(test)]
+mod montecarlo;
 pub mod poly;
 pub mod probability;
 
@@ -44,7 +45,6 @@ pub use kernel::{
     ProbKernel, ProbStats, ProbStatsSnapshot, SamplePool, NS_KERNEL_COLUMNS, NS_KERNEL_COMPILE,
 };
 pub use lineage::{for_each_grounding, lineage_dnf, support_space, support_tuples};
-pub use montecarlo::MonteCarloEstimator;
 pub use poly::{event_polynomial, from_satisfying, Monomial, Polynomial};
 pub use probability::{
     answer_distribution, boolean_probability, conditional_probability, event_probability,

@@ -1,184 +1,22 @@
-//! Monte-Carlo estimation of probabilities and disclosures.
+//! Monte-Carlo estimation checked end to end against exact values.
 //!
-//! When the relevant tuple space is too large for exact enumeration (the
-//! hospital-sized dictionaries of Section 3.2, or the growing domains used to
-//! study asymptotic behaviour in Section 6.2), probabilities are estimated by
-//! sampling instances from the tuple-independent distribution. Sampling of
-//! independent batches is parallelised with `std::thread` scoped threads.
+//! The crate's one Monte-Carlo estimator is the kernel's seeded
+//! [`SamplePool`]: single events are counted over it with [`answer_flags`]
+//! (as `leakage_estimate` and `estimate_mu_n` do in the core crate), and
+//! whole audits with packed signature counts once the space is past the
+//! exact cutover. These tests hold both to the exact probabilities of
+//! [`crate::probability`] and pin that one seed yields one answer.
 
-use qvsec_cq::eval::{evaluate, AnswerSet};
-use qvsec_cq::{evaluate_boolean, ConjunctiveQuery, ViewSet};
-use qvsec_data::{Dictionary, Instance, InstanceSampler};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A Monte-Carlo estimator bound to a dictionary.
-#[derive(Debug, Clone)]
-pub struct MonteCarloEstimator<'a> {
-    dict: &'a Dictionary,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-}
-
-impl<'a> MonteCarloEstimator<'a> {
-    /// Creates an estimator drawing `samples` instances (deterministic for a
-    /// fixed seed).
-    pub fn new(dict: &'a Dictionary, samples: usize, seed: u64) -> Self {
-        MonteCarloEstimator {
-            dict,
-            samples,
-            seed,
-            threads: 4,
-        }
-    }
-
-    /// Sets the number of worker threads used for sampling (default 4).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The number of samples drawn per estimate.
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Estimates `P[event]` by parallel sampling.
-    pub fn estimate<F>(&self, event: F) -> f64
-    where
-        F: Fn(&Instance) -> bool + Sync,
-    {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        let per_thread = self.samples.div_ceil(self.threads);
-        let total_hits = std::sync::atomic::AtomicUsize::new(0);
-        let total_samples = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..self.threads {
-                let event = &event;
-                let total_hits = &total_hits;
-                let total_samples = &total_samples;
-                let dict = self.dict;
-                let seed = self.seed;
-                scope.spawn(move || {
-                    let sampler = InstanceSampler::new(dict);
-                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9E37_79B9));
-                    let mut hits = 0usize;
-                    for _ in 0..per_thread {
-                        if event(&sampler.sample(&mut rng)) {
-                            hits += 1;
-                        }
-                    }
-                    total_hits.fetch_add(hits, std::sync::atomic::Ordering::Relaxed);
-                    total_samples.fetch_add(per_thread, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-        });
-        total_hits.load(std::sync::atomic::Ordering::Relaxed) as f64
-            / total_samples.load(std::sync::atomic::Ordering::Relaxed) as f64
-    }
-
-    /// Estimates `P[event | given]` by rejection sampling (single-threaded,
-    /// since the conditioning may be rare). Returns `None` if the condition
-    /// was never observed.
-    pub fn estimate_conditional<F, G>(&self, event: F, given: G) -> Option<f64>
-    where
-        F: Fn(&Instance) -> bool,
-        G: Fn(&Instance) -> bool,
-    {
-        let sampler = InstanceSampler::new(self.dict);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        sampler.estimate_conditional(&mut rng, self.samples, event, given)
-    }
-
-    /// Estimates the probability that a boolean query is true.
-    pub fn boolean_probability(&self, query: &ConjunctiveQuery) -> f64 {
-        self.estimate(|i| evaluate_boolean(query, i))
-    }
-
-    /// Estimates `P[answer ∈ S(I)]` — the monotone atomic events of the
-    /// leakage measure (Section 6.1).
-    pub fn answer_inclusion_probability(
-        &self,
-        query: &ConjunctiveQuery,
-        answer: &[qvsec_data::Value],
-    ) -> f64 {
-        self.estimate(|i| evaluate(query, i).contains(answer))
-    }
-
-    /// Estimates the relative leakage `(P[s ⊆ S | v̄ ⊆ V̄] − P[s ⊆ S]) / P[s ⊆ S]`
-    /// for one specific pair of atomic events. Returns `None` when either the
-    /// conditioning event was never observed or the prior estimate is zero.
-    ///
-    /// Prior and posterior are computed from **one** shared sample set (each
-    /// sampled instance is evaluated once and feeds both counters), so a
-    /// fixed seed yields one deterministic answer and the sampling cost is
-    /// paid once instead of once per estimate. This also removes the
-    /// pre-kernel failure mode where the prior and the conditional estimate
-    /// came from different draws and could disagree on overlapping events.
-    pub fn relative_leakage(
-        &self,
-        query: &ConjunctiveQuery,
-        query_answer: &[qvsec_data::Value],
-        views: &ViewSet,
-        view_answers: &[Vec<qvsec_data::Value>],
-    ) -> Option<f64> {
-        if self.samples == 0 {
-            return None;
-        }
-        let sampler = InstanceSampler::new(self.dict);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut s_hits = 0usize;
-        let mut v_hits = 0usize;
-        let mut joint_hits = 0usize;
-        for _ in 0..self.samples {
-            let inst = sampler.sample(&mut rng);
-            let s_in = evaluate(query, &inst).contains(query_answer);
-            let v_in = views.iter().zip(view_answers.iter()).all(|(v, ans)| {
-                let out: AnswerSet = evaluate(v, &inst);
-                out.contains(ans)
-            });
-            if s_in {
-                s_hits += 1;
-            }
-            if v_in {
-                v_hits += 1;
-                if s_in {
-                    joint_hits += 1;
-                }
-            }
-        }
-        if s_hits == 0 || v_hits == 0 {
-            return None;
-        }
-        let prior = s_hits as f64 / self.samples as f64;
-        let posterior = joint_hits as f64 / v_hits as f64;
-        Some((posterior - prior) / prior)
-    }
-
-    /// Draws one sample (useful for smoke tests and examples).
-    pub fn sample_once(&self) -> Instance {
-        let sampler = InstanceSampler::new(self.dict);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xABCD);
-        sampler.sample(&mut rng)
-    }
-
-    /// Draws a random seed-derived sub-seed, exposed so callers can fan out
-    /// reproducible experiments.
-    pub fn derive_seed(&self, label: u64) -> u64 {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ label);
-        rng.gen()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::probability::boolean_probability;
-    use qvsec_cq::parse_query;
-    use qvsec_data::{Domain, Ratio, Schema, TupleSpace};
+    use crate::kernel::{
+        answer_flags, CompiledQuery, KernelAudit, KernelConfig, KernelLeakEntry, ProbKernel,
+        SamplePool, POOL_CHUNK,
+    };
+    use crate::probability::{boolean_probability, event_probability};
+    use qvsec_cq::eval::{evaluate, AnswerSet};
+    use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
+    use qvsec_data::{Dictionary, Domain, Ratio, Schema, TupleSpace, Value};
+    use std::sync::Arc;
 
     fn setup() -> (Schema, Domain, Dictionary) {
         let mut schema = Schema::new();
@@ -188,32 +26,76 @@ mod tests {
         (schema, domain, Dictionary::half(space))
     }
 
+    fn pool(dict: &Dictionary, samples: usize, seed: u64) -> SamplePool {
+        SamplePool::generate(dict, Arc::new(dict.space().clone()), samples, seed)
+    }
+
+    /// The fraction of pooled worlds whose answer to `q` contains `answer`
+    /// (or, with `None`, is non-empty).
+    fn frequency(pool: &SamplePool, q: &ConjunctiveQuery, answer: Option<&[Value]>) -> f64 {
+        let flags = answer_flags(pool, &CompiledQuery::compile(q, pool.space()), answer);
+        flags.iter().filter(|&&b| b).count() as f64 / flags.len().max(1) as f64
+    }
+
+    /// Audits `(s, views)` on a fresh kernel forced onto the Monte-Carlo
+    /// path, so two calls share nothing but the configuration.
+    fn mc_audit(
+        dict: &Dictionary,
+        s: &ConjunctiveQuery,
+        views: &ViewSet,
+        samples: usize,
+        seed: u64,
+    ) -> KernelAudit {
+        let config = KernelConfig {
+            exact_cutover: 0,
+            samples,
+            seed,
+            ..KernelConfig::default()
+        };
+        ProbKernel::new(Arc::new(dict.clone()), config)
+            .evaluate(s, views)
+            .unwrap()
+    }
+
+    /// The reported leakage entry of the pair `(s, (v))`, if any.
+    fn entry<'a>(audit: &'a KernelAudit, s: &[Value], v: &[Value]) -> Option<&'a KernelLeakEntry> {
+        audit
+            .leakage
+            .positive_entries
+            .iter()
+            .find(|e| e.query_answer == s && e.view_answers == [v.to_vec()])
+    }
+
     #[test]
     fn monte_carlo_agrees_with_exact_probability() {
         let (schema, mut domain, dict) = setup();
         let q = parse_query("Q() :- R('a', x), R(x, x)", &schema, &mut domain).unwrap();
         let exact = boolean_probability(&q, &dict).unwrap().to_f64();
-        let mc = MonteCarloEstimator::new(&dict, 8000, 11).with_threads(2);
-        let est = mc.boolean_probability(&q);
+        let pool = pool(&dict, 8000, 11);
+        let est = frequency(&pool, &q, None);
         assert!(
             (est - exact).abs() < 0.03,
             "estimate {est} too far from exact {exact}"
         );
+        // A boolean query is true exactly when it contains the empty answer.
+        assert_eq!(frequency(&pool, &q, Some(&[])), est);
     }
 
     #[test]
     fn conditional_estimates_detect_dependence() {
+        // Exact: P[R(a,b)] = 1/2, P[R(a,b) | R(a,a) ∨ R(a,b)] = 2/3.
         let (schema, mut domain, dict) = setup();
         let s = parse_query("S() :- R('a', 'b')", &schema, &mut domain).unwrap();
         let v = parse_query("V() :- R('a', x)", &schema, &mut domain).unwrap();
-        let mc = MonteCarloEstimator::new(&dict, 6000, 5);
-        let prior = mc.boolean_probability(&s);
-        let posterior = mc
-            .estimate_conditional(
-                |i| qvsec_cq::evaluate_boolean(&s, i),
-                |i| qvsec_cq::evaluate_boolean(&v, i),
-            )
-            .unwrap();
+        let audit = mc_audit(&dict, &s, &ViewSet::single(v), 6000, 5);
+        let yes = AnswerSet::from([vec![]]);
+        let violation = audit
+            .independence
+            .violations
+            .iter()
+            .find(|x| x.query_answer == yes && x.view_answers == [yes.clone()])
+            .expect("S true given V true is a violation");
+        let (prior, posterior) = (violation.prior.to_f64(), violation.posterior.to_f64());
         assert!(
             posterior > prior + 0.05,
             "posterior {posterior} vs prior {prior}"
@@ -225,68 +107,90 @@ mod tests {
         let (schema, mut domain, dict) = setup();
         let s = parse_query("S(x, y) :- R(x, y)", &schema, &mut domain).unwrap();
         let v = parse_query("V(x) :- R(x, y)", &schema, &mut domain).unwrap();
-        let a = domain.get("a").unwrap();
-        let b = domain.get("b").unwrap();
-        let mc = MonteCarloEstimator::new(&dict, 2000, 41);
+        let (a, b) = (domain.get("a").unwrap(), domain.get("b").unwrap());
         let views = ViewSet::single(v);
-        let first = mc
-            .relative_leakage(&s, &[a, b], &views, &[vec![a]])
-            .unwrap();
-        let second = mc
-            .relative_leakage(&s, &[a, b], &views, &[vec![a]])
-            .unwrap();
-        assert_eq!(first, second, "one seed, one shared sample set, one answer");
-        assert!(mc
-            .relative_leakage(&s, &[a, b], &views, &[vec![a]])
-            .unwrap()
-            .is_finite());
-        let zero = MonteCarloEstimator::new(&dict, 0, 41);
-        assert!(zero
-            .relative_leakage(&s, &[a, b], &views, &[vec![a]])
-            .is_none());
+        let first = mc_audit(&dict, &s, &views, 2000, 41);
+        let second = mc_audit(&dict, &s, &views, 2000, 41);
+        assert_eq!(
+            first.leakage, second.leakage,
+            "one seed, one shared sample set, one answer"
+        );
+        assert!(entry(&first, &[a, b], &[a]).is_some());
+        let zero = mc_audit(&dict, &s, &views, 0, 41);
+        assert!(zero.leakage.witness.is_none());
     }
 
     #[test]
     fn relative_leakage_is_nonnegative_for_positive_dependence() {
+        // Exact: observing (a) ∈ V raises P[(a, b) ∈ S] from 1/2 to 2/3.
         let (schema, mut domain, dict) = setup();
         let s = parse_query("S(x, y) :- R(x, y)", &schema, &mut domain).unwrap();
         let v = parse_query("V(x) :- R(x, y)", &schema, &mut domain).unwrap();
-        let a = domain.get("a").unwrap();
-        let b = domain.get("b").unwrap();
-        let mc = MonteCarloEstimator::new(&dict, 6000, 17);
-        let leak = mc
-            .relative_leakage(&s, &[a, b], &ViewSet::single(v), &[vec![a]])
-            .unwrap();
+        let (a, b) = (domain.get("a").unwrap(), domain.get("b").unwrap());
+        let audit = mc_audit(&dict, &s, &ViewSet::single(v), 6000, 17);
+        let leak = entry(&audit, &[a, b], &[a])
+            .expect("the positive increase is reported")
+            .relative_increase;
         assert!(
-            leak > -0.1,
-            "observing the projection must not reduce the estimate much: {leak}"
+            (leak.to_f64() - 1.0 / 3.0).abs() < 0.1,
+            "observing the projection must raise the estimate by ~1/3: {leak}"
         );
+        assert!(audit.leakage.max_leak >= leak);
     }
 
     #[test]
     fn zero_samples_yield_zero_estimates() {
-        let (_, _, dict) = setup();
-        let mc = MonteCarloEstimator::new(&dict, 0, 1);
-        assert_eq!(mc.estimate(|_| true), 0.0);
-        assert_eq!(mc.samples(), 0);
+        let (schema, mut domain, dict) = setup();
+        let q = parse_query("Q() :- R(x, y)", &schema, &mut domain).unwrap();
+        let pool = pool(&dict, 0, 1);
+        assert!(pool.is_empty());
+        assert_eq!(frequency(&pool, &q, None), 0.0);
     }
 
     #[test]
     fn answer_inclusion_probability_matches_exact_value() {
-        // P[(a) ∈ V(I)] for V(x) :- R(x, y) is P[R(a,a) ∨ R(a,b)] = 3/4.
+        // P[(a) ∈ V(I)] for V(x) :- R(x, y) is P[R(a,a) ∨ R(a,b)] = 3/4,
+        // and V(I) is non-empty unless all four tuples are absent: 15/16.
         let (schema, mut domain, dict) = setup();
         let v = parse_query("V(x) :- R(x, y)", &schema, &mut domain).unwrap();
         let a = domain.get("a").unwrap();
-        let mc = MonteCarloEstimator::new(&dict, 8000, 23);
-        let est = mc.answer_inclusion_probability(&v, &[a]);
-        assert!((est - Ratio::new(3, 4).to_f64()).abs() < 0.03);
+        let inclusion = event_probability(&dict, |i| evaluate(&v, i).contains(&vec![a])).unwrap();
+        let truth = event_probability(&dict, |i| !evaluate(&v, i).is_empty()).unwrap();
+        assert_eq!((inclusion, truth), (Ratio::new(3, 4), Ratio::new(15, 16)));
+        let pool = pool(&dict, 8000, 23);
+        let est = frequency(&pool, &v, Some(&[a]));
+        assert!((est - inclusion.to_f64()).abs() < 0.03, "estimate {est}");
+        let est = frequency(&pool, &v, None);
+        assert!((est - truth.to_f64()).abs() < 0.03, "estimate {est}");
+        // An answer V can never produce is never included.
+        assert_eq!(frequency(&pool, &v, Some(&[a, a])), 0.0);
     }
 
     #[test]
     fn derived_seeds_and_samples_are_reproducible() {
+        // Every chunk of the pool draws from a seed derived from the pool
+        // seed, so kernels configured alike hold the same worlds as a pool
+        // drawn directly.
         let (_, _, dict) = setup();
-        let mc = MonteCarloEstimator::new(&dict, 10, 99);
-        assert_eq!(mc.derive_seed(1), mc.derive_seed(1));
-        assert_eq!(mc.sample_once(), mc.sample_once());
+        let samples = 2 * POOL_CHUNK + 10;
+        let config = KernelConfig {
+            samples,
+            seed: 99,
+            ..KernelConfig::default()
+        };
+        let dict = Arc::new(dict);
+        let first = ProbKernel::new(Arc::clone(&dict), config).shared_pool();
+        let second = ProbKernel::new(Arc::clone(&dict), config).shared_pool();
+        let direct = pool(&dict, samples, 99);
+        assert_eq!((first.len(), first.seed()), (samples, 99));
+        for ((x, y), z) in first
+            .worlds()
+            .iter()
+            .zip(second.worlds())
+            .zip(direct.worlds())
+        {
+            assert_eq!(x.bits(), y.bits());
+            assert_eq!(x.bits(), z.bits());
+        }
     }
 }

@@ -91,9 +91,9 @@ pub struct JointDistribution {
 }
 
 impl JointDistribution {
-    /// Assembles a distribution from explicit entries (used by the
-    /// mask-streaming kernel, which aggregates the same `(s, v̄)` outcomes
-    /// without materializing an [`Instance`] per world).
+    /// Assembles a distribution from explicit entries (the Monte-Carlo
+    /// oracle's empirical distribution over pooled worlds).
+    #[cfg(test)]
     pub(crate) fn from_parts(
         entries: BTreeMap<(AnswerSet, Vec<AnswerSet>), Ratio>,
         total_mass: Ratio,

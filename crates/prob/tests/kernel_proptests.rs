@@ -9,63 +9,24 @@
 //!   `check_independence`;
 //! * the kernel's Monte-Carlo path never contradicts an exact independence
 //!   verdict (the 3σ significance filter suppresses sampling noise), and
-//!   plain Monte-Carlo estimates converge to exact probabilities within 3σ.
+//!   single-event estimates over the shared sample pool converge to exact
+//!   probabilities.
 
+mod common;
+
+use common::{domain, parse, query_text, schema};
 use proptest::prelude::*;
 use qvsec_cq::eval::AnswerSet;
-use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
-use qvsec_data::{Dictionary, Domain, Ratio, Schema, TupleSpace};
+use qvsec_cq::ViewSet;
+use qvsec_data::{Dictionary, Ratio, TupleSpace};
 use qvsec_prob::independence::check_independence;
 use qvsec_prob::kernel::{
-    stream_exact, CompiledQuery, EstimatorMode, KernelConfig, ProbKernel, ProbStats,
+    answer_flags, stream_exact, CompiledQuery, EstimatorMode, KernelConfig, ProbKernel, ProbStats,
+    SamplePool,
 };
-use qvsec_prob::montecarlo::MonteCarloEstimator;
 use qvsec_prob::probability::{boolean_probability, joint_distribution};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-fn schema() -> Schema {
-    let mut s = Schema::new();
-    s.add_relation("R", &["x", "y"]);
-    s
-}
-
-fn domain() -> Domain {
-    Domain::with_constants(["a", "b"])
-}
-
-/// Random conjunctive query text over R/2 (same shape as the core crate's
-/// theorem proptests).
-fn query_text() -> impl Strategy<Value = String> {
-    let term = prop_oneof![
-        3 => Just("x0".to_string()),
-        3 => Just("x1".to_string()),
-        2 => Just("x2".to_string()),
-        2 => Just("'a'".to_string()),
-        2 => Just("'b'".to_string()),
-    ];
-    let atom = (term.clone(), term).prop_map(|(a, b)| format!("R({a}, {b})"));
-    (proptest::collection::vec(atom, 1..3), proptest::bool::ANY).prop_map(|(atoms, boolean)| {
-        let body = atoms.join(", ");
-        if boolean {
-            return format!("Q() :- {body}");
-        }
-        let head_var = atoms[0]
-            .trim_start_matches("R(")
-            .trim_end_matches(')')
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .find(|t| t.starts_with('x'));
-        match head_var {
-            Some(v) => format!("Q({v}) :- {body}"),
-            None => format!("Q() :- {body}"),
-        }
-    })
-}
-
-fn parse(text: &str, schema: &Schema, domain: &mut Domain) -> ConjunctiveQuery {
-    parse_query(text, schema, domain).expect("generated query parses")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -179,8 +140,8 @@ proptest! {
         }
     }
 
-    // Plain Monte-Carlo boolean-probability estimates converge within 3σ
-    // of the exact value.
+    // Pooled Monte-Carlo estimates of `P[Q(I) ≠ ∅]` converge within 4σ of
+    // the exact value.
     #[test]
     fn monte_carlo_probability_estimates_converge_within_three_sigma(
         q_text in query_text(),
@@ -188,12 +149,16 @@ proptest! {
         let schema = schema();
         let mut domain = domain();
         let q = parse(&q_text, &schema, &mut domain);
-        let space = TupleSpace::full(&schema, &domain).unwrap();
-        let dict = Dictionary::half(space);
+        let space = Arc::new(TupleSpace::full(&schema, &domain).unwrap());
+        let dict = Dictionary::half(TupleSpace::clone(&space));
         let exact = boolean_probability(&q, &dict).unwrap().to_f64();
         let samples = 6000usize;
-        let mc = MonteCarloEstimator::new(&dict, samples, 13).with_threads(2);
-        let est = mc.boolean_probability(&q);
+        let pool = SamplePool::generate(&dict, Arc::clone(&space), samples, 13);
+        let hits = answer_flags(&pool, &CompiledQuery::compile(&q, &space), None)
+            .into_iter()
+            .filter(|&b| b)
+            .count();
+        let est = hits as f64 / samples as f64;
         let sigma = (exact * (1.0 - exact) / samples as f64).sqrt();
         // The vendored proptest shim seeds by (test name, case), so the
         // generated queries and hence this assertion are deterministic.

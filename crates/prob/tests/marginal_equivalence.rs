@@ -1,192 +1,95 @@
-//! Differential proptests: the packed-signature marginal analysis is
-//! byte-identical to the preserved `AnswerSet`-decoding baseline.
+//! Differential proptests: the exact path's packed-signature marginals are
+//! byte-identical to the literal Definition 4.1 walk.
 //!
-//! [`KernelConfig::decode_baseline`] keeps the historical decoding analysis
-//! alive exactly so these tests can diff the two end to end. On randomly
-//! generated secret/view pairs, two kernels differing only in that flag
-//! must produce byte-identical [`KernelAudit`]s — independence report
-//! (Def. 4.1 marginals, violations, priors, posteriors), §6.1 leakage
-//! aggregates, total-disclosure verdict and estimator report — on:
+//! On the exact path the kernel computes Definition 4.1 from packed
+//! signature marginals and never decodes an `AnswerSet` it does not report.
+//! [`check_independence`] is the definition itself: it evaluates `S` and
+//! every view on every instance of the space, builds the joint distribution
+//! of decoded answer sets and walks every `(s, v̄)` pair. On randomly
+//! generated secret/view pairs, one view and two, the kernel's independence
+//! report must serialize to the same bytes — verdict, every violation with
+//! its prior and posterior, their order, and the pair count — on:
 //!
-//! * the exact uniform-`1/2` path (packed integer counts vs decoded
-//!   rational masses),
-//! * the exact non-uniform path (packed mass-weighted marginals vs the
-//!   decoded distribution analysis),
-//! * the Monte-Carlo path, including a deliberately tiny sample pool whose
-//!   noisy estimates push deviations right up against the 3σ significance
-//!   filter — the packed path must classify every near-threshold pair
-//!   exactly like the baseline.
+//! * the uniform-`1/2` dictionary (packed integer counts), and
+//! * a non-uniform dictionary (packed mass-weighted marginals).
+//!
+//! Section 6.1 and determinacy are held to their literal definitions
+//! through the engine (`crates/core/tests/proptests.rs`); the Monte-Carlo
+//! path has its own oracle over the pooled worlds (`kernel::mc_oracle`).
 
+mod common;
+
+use common::{domain, parse, query_text, schema};
 use proptest::prelude::*;
-use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
-use qvsec_data::{Dictionary, Domain, Ratio, Schema, TupleSpace};
-use qvsec_prob::kernel::{KernelConfig, ProbKernel};
+use qvsec_cq::{ConjunctiveQuery, ViewSet};
+use qvsec_data::{Dictionary, Ratio, TupleSpace};
+use qvsec_prob::check_independence;
+use qvsec_prob::kernel::{EstimatorMode, KernelConfig, ProbKernel};
 use std::sync::Arc;
 
-fn schema() -> Schema {
-    let mut s = Schema::new();
-    s.add_relation("R", &["x", "y"]);
-    s
-}
-
-fn domain() -> Domain {
-    Domain::with_constants(["a", "b"])
-}
-
-/// Random conjunctive query text over R/2 (same shape as the kernel
-/// proptests).
-fn query_text() -> impl Strategy<Value = String> {
-    let term = prop_oneof![
-        3 => Just("x0".to_string()),
-        3 => Just("x1".to_string()),
-        2 => Just("x2".to_string()),
-        2 => Just("'a'".to_string()),
-        2 => Just("'b'".to_string()),
-    ];
-    let atom = (term.clone(), term).prop_map(|(a, b)| format!("R({a}, {b})"));
-    (proptest::collection::vec(atom, 1..3), proptest::bool::ANY).prop_map(|(atoms, boolean)| {
-        let body = atoms.join(", ");
-        if boolean {
-            return format!("Q() :- {body}");
-        }
-        let head_var = atoms[0]
-            .trim_start_matches("R(")
-            .trim_end_matches(')')
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .find(|t| t.starts_with('x'));
-        match head_var {
-            Some(v) => format!("Q({v}) :- {body}"),
-            None => format!("Q() :- {body}"),
-        }
-    })
-}
-
-fn parse(text: &str, schema: &Schema, domain: &mut Domain) -> ConjunctiveQuery {
-    parse_query(text, schema, domain).expect("generated query parses")
-}
-
-/// Audits `(s, views)` on two fresh kernels differing only in
-/// `decode_baseline` and returns both serialized audits. The audit memo
-/// stays off (the default) so every evaluation runs the full analysis.
-fn diff_audit(
-    dict: &Arc<Dictionary>,
-    base: KernelConfig,
+/// Audits `s` against one view and against both on a fresh exact kernel
+/// and compares each serialized independence report with the literal
+/// definition's. The audit memo stays off (the default), so every
+/// evaluation runs the full analysis.
+fn assert_marginals_match_definition_4_1(
+    dict: Dictionary,
     s: &ConjunctiveQuery,
-    views: &ViewSet,
-) -> (String, String) {
-    let packed = ProbKernel::new(Arc::clone(dict), base);
-    let decoded = ProbKernel::new(
-        Arc::clone(dict),
-        KernelConfig {
-            decode_baseline: true,
-            ..base
-        },
-    );
-    (
-        serde_json::to_string(&packed.evaluate(s, views).unwrap()).unwrap(),
-        serde_json::to_string(&decoded.evaluate(s, views).unwrap()).unwrap(),
-    )
+    v1: &ConjunctiveQuery,
+    v2: &ConjunctiveQuery,
+) {
+    let dict = Arc::new(dict);
+    for views in [
+        ViewSet::single(v1.clone()),
+        ViewSet::from_views(vec![v1.clone(), v2.clone()]),
+    ] {
+        let kernel = ProbKernel::new(Arc::clone(&dict), KernelConfig::default());
+        let audit = kernel.evaluate(s, &views).unwrap();
+        assert_eq!(audit.estimator.mode, EstimatorMode::Exact);
+        let literal = check_independence(s, &views, &dict).unwrap();
+        assert_eq!(
+            serde_json::to_string(&audit.independence).unwrap(),
+            serde_json::to_string(&literal).unwrap()
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // Exact path, uniform-1/2 dictionary: the packed integer-count
-    // analysis vs the decoded rational-mass analysis.
     #[test]
     fn exact_uniform_half_audits_are_byte_identical(
         s_text in query_text(),
-        v_text in query_text(),
+        v1_text in query_text(),
+        v2_text in query_text(),
     ) {
         let schema = schema();
         let mut domain = domain();
         let s = parse(&s_text, &schema, &mut domain);
-        let v = parse(&v_text, &schema, &mut domain);
-        let views = ViewSet::single(v);
+        let v1 = parse(&v1_text, &schema, &mut domain);
+        let v2 = parse(&v2_text, &schema, &mut domain);
         let space = TupleSpace::full(&schema, &domain).unwrap();
-        let dict = Arc::new(Dictionary::half(space));
-
-        let (packed, decoded) = diff_audit(&dict, KernelConfig::default(), &s, &views);
-        prop_assert_eq!(packed, decoded);
+        assert_marginals_match_definition_4_1(Dictionary::half(space), &s, &v1, &v2);
     }
 
-    // Exact path, non-uniform dictionary: every world carries a different
-    // mass, so both kernels run the mass-weighted signature distribution —
-    // the packed marginal accumulators vs the decoded analysis.
+    // Tuple probabilities of 1/4, 1/2 and 3/4 give worlds unequal masses,
+    // so the kernel runs the mass-weighted signature distribution instead
+    // of integer counts.
     #[test]
     fn exact_nonuniform_audits_are_byte_identical(
         s_text in query_text(),
-        v_text in query_text(),
+        v1_text in query_text(),
+        v2_text in query_text(),
     ) {
         let schema = schema();
         let mut domain = domain();
         let s = parse(&s_text, &schema, &mut domain);
-        let v = parse(&v_text, &schema, &mut domain);
-        let views = ViewSet::single(v);
+        let v1 = parse(&v1_text, &schema, &mut domain);
+        let v2 = parse(&v2_text, &schema, &mut domain);
         let space = TupleSpace::full(&schema, &domain).unwrap();
         let probs: Vec<Ratio> = (0..space.len())
             .map(|i| Ratio::new(1 + (i as i128 % 3), 4))
             .collect();
-        let dict = Arc::new(Dictionary::from_probabilities(space, probs).unwrap());
-
-        let (packed, decoded) = diff_audit(&dict, KernelConfig::default(), &s, &views);
-        prop_assert_eq!(packed, decoded);
-    }
-
-    // Monte-Carlo path (cutover forced): identical pool, identical
-    // per-world signatures — the packed analysis must reproduce the
-    // decoded verdicts bit for bit.
-    #[test]
-    fn monte_carlo_audits_are_byte_identical(
-        s_text in query_text(),
-        v_text in query_text(),
-        seed in 0u64..1024,
-    ) {
-        let schema = schema();
-        let mut domain = domain();
-        let s = parse(&s_text, &schema, &mut domain);
-        let v = parse(&v_text, &schema, &mut domain);
-        let views = ViewSet::single(v);
-        let space = TupleSpace::full(&schema, &domain).unwrap();
-        let dict = Arc::new(Dictionary::half(space));
-
-        let config = KernelConfig {
-            exact_cutover: 0, // force the Monte-Carlo path
-            samples: 2048,
-            seed,
-            ..KernelConfig::default()
-        };
-        let (packed, decoded) = diff_audit(&dict, config, &s, &views);
-        prop_assert_eq!(packed, decoded);
-    }
-
-    // The 3σ significance edge: a deliberately tiny pool makes the
-    // sampled deviations noisy, so many pairs land near the significance
-    // threshold — the packed path must make the identical keep/suppress
-    // call on every one of them.
-    #[test]
-    fn tiny_pool_three_sigma_edge_cases_are_byte_identical(
-        s_text in query_text(),
-        v_text in query_text(),
-        seed in 0u64..4096,
-        samples in 32usize..256,
-    ) {
-        let schema = schema();
-        let mut domain = domain();
-        let s = parse(&s_text, &schema, &mut domain);
-        let v = parse(&v_text, &schema, &mut domain);
-        let views = ViewSet::single(v);
-        let space = TupleSpace::full(&schema, &domain).unwrap();
-        let dict = Arc::new(Dictionary::half(space));
-
-        let config = KernelConfig {
-            exact_cutover: 0,
-            samples,
-            seed,
-            ..KernelConfig::default()
-        };
-        let (packed, decoded) = diff_audit(&dict, config, &s, &views);
-        prop_assert_eq!(packed, decoded);
+        let dict = Dictionary::from_probabilities(space, probs).unwrap();
+        assert_marginals_match_definition_4_1(dict, &s, &v1, &v2);
     }
 }

@@ -831,6 +831,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_a_bad_request_not_a_stack_overflow() {
+        // A line of 200,000 `[` is well under the request-line cap. The JSON
+        // parser recurses once per nesting level, so without its depth cap
+        // this line overflows a default-size thread's stack and aborts the
+        // whole process.
+        let line = "[".repeat(200_000);
+        assert!(line.len() < crate::server::MAX_REQUEST_LINE_BYTES);
+        let reg = Arc::new(registry());
+        let worker = Arc::clone(&reg);
+        let response = std::thread::spawn(move || handle_request(&worker, &line).0)
+            .join()
+            .expect("the request thread survives");
+        assert_eq!(error_kind(&response), "bad_request");
+        let (pong, _) = handle_request(&reg, r#"{"op": "ping"}"#);
+        assert_eq!(pong.field("ok"), &Value::Bool(true), "still serving");
+    }
+
+    #[test]
     fn failures_map_onto_structured_error_kinds() {
         let reg = registry();
         // An established tenant, so unknown-snapshot is reachable below.

@@ -6,15 +6,13 @@
 //! guarantee for any tenant that keeps publishing afterward. This crate is
 //! the durability seam the rest of the workspace plugs into: one small
 //! [`StoreBackend`] trait (namespaced key → bytes, ordered scan, atomic
-//! batch append, flush) with three interchangeable implementations —
+//! batch append, flush) with two interchangeable implementations —
 //!
 //! * [`MemStore`] — in-process maps; the zero-config default, behaviour-
 //!   identical to running without a store at all.
 //! * [`LogStore`] — one append-only file per namespace with length-prefixed
 //!   and checksummed records, crash-tolerant truncated-tail recovery and
 //!   threshold-triggered compaction. The production-shaped backend.
-//! * [`KvShimStore`] — a directory-of-files KV: the slot future SQLite /
-//!   Redis adapters plug into without touching any caller.
 //!
 //! Callers never see which backend they run over. The serving registry
 //! journals tenant lifecycle events into one namespace per registry; the
@@ -30,11 +28,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod kv;
 mod log;
 mod mem;
 
-pub use kv::KvShimStore;
 pub use log::LogStore;
 pub use mem::MemStore;
 
@@ -138,7 +134,7 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// Forces buffered writes down to the backing medium.
     fn flush(&self) -> Result<()>;
 
-    /// A short static name (`"mem"` / `"log"` / `"kv"`) for stats and logs.
+    /// A short static name (`"mem"` / `"log"`) for stats and logs.
     fn backend_name(&self) -> &'static str;
 }
 
@@ -149,15 +145,13 @@ pub enum BackendKind {
     Mem,
     /// [`LogStore`] — append-only files, crash-safe.
     Log,
-    /// [`KvShimStore`] — directory-of-files KV.
-    Kv,
 }
 
 /// Declarative store selection, deserializable straight out of a CLI spec
 /// (`{"backend": "log", "path": "/var/lib/qvsec"}`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoreConfig {
-    /// Backend name: `"mem"` (default), `"log"`, or `"kv"`.
+    /// Backend name: `"mem"` (default) or `"log"`.
     pub backend: Option<String>,
     /// Root directory for file-backed backends.
     pub path: Option<String>,
@@ -182,9 +176,8 @@ impl StoreConfig {
         match self.backend.as_deref() {
             None | Some("mem") => Ok(BackendKind::Mem),
             Some("log") => Ok(BackendKind::Log),
-            Some("kv") => Ok(BackendKind::Kv),
             Some(other) => Err(StoreError::Config(format!(
-                "unknown store backend `{other}` (expected mem | log | kv)"
+                "unknown store backend `{other}` (expected mem | log)"
             ))),
         }
     }
@@ -210,7 +203,6 @@ pub fn open_store(config: &StoreConfig) -> Result<Arc<dyn StoreBackend>> {
                 .compact_threshold_bytes
                 .unwrap_or(DEFAULT_COMPACT_THRESHOLD),
         )?),
-        BackendKind::Kv => Arc::new(KvShimStore::open(path()?)?),
     })
 }
 
@@ -225,17 +217,6 @@ pub(crate) fn encode_component(name: &str) -> String {
         }
     }
     out
-}
-
-/// FNV-1a over `bytes`, 64-bit (used for KV file names) — deterministic
-/// across processes, like the registry's shard hash.
-pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// FNV-1a over `bytes`, 32-bit (the log record checksum).
@@ -329,13 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn kv_satisfies_the_contract() {
-        let dir = testutil::scratch_dir("contract-kv");
-        contract(&KvShimStore::open(dir.clone()).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn the_factory_maps_config_onto_backends() {
         let mem = open_store(&StoreConfig {
             backend: None,
@@ -348,13 +322,6 @@ mod tests {
         let dir = testutil::scratch_dir("factory");
         let log = open_store(&StoreConfig::log_at(dir.display().to_string())).unwrap();
         assert_eq!(log.backend_name(), "log");
-        let kv = open_store(&StoreConfig {
-            backend: Some("kv".to_string()),
-            path: Some(dir.join("kv").display().to_string()),
-            compact_threshold_bytes: None,
-        })
-        .unwrap();
-        assert_eq!(kv.backend_name(), "kv");
 
         assert!(matches!(
             open_store(&StoreConfig {
@@ -364,14 +331,18 @@ mod tests {
             }),
             Err(StoreError::Config(_))
         ));
-        assert!(matches!(
-            open_store(&StoreConfig {
-                backend: Some("warp".to_string()),
-                path: None,
+        for retired in ["warp", "kv"] {
+            let err = open_store(&StoreConfig {
+                backend: Some(retired.to_string()),
+                path: Some(dir.display().to_string()),
                 compact_threshold_bytes: None,
-            }),
-            Err(StoreError::Config(_))
-        ));
+            })
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("expected mem | log"),
+                "{retired}: {err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

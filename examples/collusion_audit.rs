@@ -18,7 +18,6 @@
 
 use qvsec_cq::parse_query;
 use qvsec_data::{Domain, Instance, Tuple};
-use qvsec_prob::montecarlo::MonteCarloEstimator;
 use qvsec_workload::paper::{intro_collusion, manufacturing_views};
 use qvsec_workload::scenarios::{
     collusion_audit, minimal_unsafe_coalitions, session_publication_audit,
@@ -171,12 +170,6 @@ fn guess_probability_simulation() {
         "  without the views the success probability is only {:.3}",
         1.0 / all_phones
     );
-    // Monte-Carlo sanity check that the association itself is not determined:
-    // the probability that a random tuple-independent database with the same
-    // marginals contains Employee(alice, sales, p1).
-    let (_, dict) = qvsec::practical::expected_size_dictionary(&schema, 4, 2).unwrap();
-    let mc = MonteCarloEstimator::new(&dict, 2000, 7);
-    let _ = mc.sample_once();
     println!();
 }
 
