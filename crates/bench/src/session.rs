@@ -19,12 +19,21 @@
 //!   is **byte-identical** to the fresh engine's (it must be — the session
 //!   is an optimization layer, not a different semantics).
 //!
+//! A second section, `views_growth`, records the probabilistic kernel's
+//! cost curve in the number of audited views: one secret against growing
+//! prefixes of a fixed view list (k = 1..8), straight on the kernel with
+//! its whole-audit memo off, on the Monte-Carlo path (the `perfbench`
+//! `deep_sessions` spec and view shape) and on the exact `1/2` path. Per `k`
+//! it records the view combos (`∏` answers over the views, the size of the
+//! Section 6.1 pair grid per secret answer) and the best-of kernel latency.
+//!
 //! The binary `bench_session` runs this harness and writes
 //! `BENCH_session.json`, mirroring `BENCH_crit.json` / `BENCH_prob.json`.
 
 use qvsec::engine::{AuditDepth, AuditEngine, AuditOptions, AuditRequest, CacheStatsSnapshot};
 use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
 use qvsec_data::{Dictionary, Domain, Ratio, Schema, TupleSpace};
+use qvsec_prob::kernel::{KernelConfig, ProbKernel};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,6 +90,36 @@ pub struct SessionBenchReport {
     /// Whether every step from 2 onward served something from cache
     /// (crit/space memo, class verdicts, compile cache or pooled samples).
     pub warm_steps_all_hit_cache: bool,
+    /// Kernel latency against the number of audited views.
+    pub views_growth: Vec<ViewsGrowthCurve>,
+}
+
+/// One point of a views-growth curve.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ViewsGrowthPoint {
+    /// Views audited.
+    pub views: usize,
+    /// View combos: `∏` answers over the audited views.
+    pub combos: u64,
+    /// Best-of wall clock of one kernel audit, nanoseconds (compilations,
+    /// pool and pool columns warm; the audit itself recomputed).
+    pub kernel_nanos: u64,
+}
+
+/// One secret audited on the kernel against growing prefixes of a fixed
+/// view list.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ViewsGrowthCurve {
+    /// Curve label.
+    pub name: String,
+    /// Estimator of every point (`"Exact"` or `"MonteCarlo"`).
+    pub mode: String,
+    /// The secret.
+    pub secret: String,
+    /// The view list; point `k` audits its first `k` views.
+    pub views: Vec<String>,
+    /// One point per prefix length, 1 to `views.len()`.
+    pub points: Vec<ViewsGrowthPoint>,
 }
 
 fn best_of<F: FnMut()>(iterations: usize, mut f: F) -> u64 {
@@ -303,6 +342,111 @@ pub(crate) fn mc_collusion_workload(size: usize, mc_samples: usize) -> Workload 
     }
 }
 
+/// The `perfbench` `deep_sessions` view shape (wide, narrow × 3, wide,
+/// narrow) over Employee × {ann, bea, Mgmt}, continued with two narrow
+/// views: 9, 3, 3, 3, 9, 3, 3, 3 answers.
+const GROWTH_MC_VIEWS: [&str; 8] = [
+    "VA(n, d) :- Employee(n, d, p)",
+    "VC(n) :- Employee(n, 'Mgmt', p)",
+    "VD(p) :- Employee(n, d, p)",
+    "VE(n) :- Employee(n, d, p)",
+    "VB(d, p) :- Employee(n, d, p)",
+    "VF(d) :- Employee(n, d, p)",
+    "VJ(n) :- Employee(n, d, d)",
+    "VK(p) :- Employee('ann', d, p)",
+];
+
+/// The same shape over Employee × {ann, bea} (no view names a constant
+/// outside the domain): 4, 2, 2, 2, 4, 2, 2, 2 answers.
+const GROWTH_EXACT_VIEWS: [&str; 8] = [
+    "VA(n, d) :- Employee(n, d, p)",
+    "VE(n) :- Employee(n, d, p)",
+    "VD(p) :- Employee(n, d, p)",
+    "VF(d) :- Employee(n, d, p)",
+    "VB(d, p) :- Employee(n, d, p)",
+    "VJ(n) :- Employee(n, d, d)",
+    "VK(p) :- Employee('ann', d, p)",
+    "VO(d) :- Employee('bea', d, p)",
+];
+
+const GROWTH_SECRET: &str = "S(n, p) :- Employee(n, d, p)";
+
+/// Audits [`GROWTH_SECRET`] against every prefix of `views` on one kernel
+/// over the uniform-`1/2` dictionary on Employee × `constants`.
+fn views_growth_curve(
+    name: &str,
+    constants: &[&str],
+    views: &[&str],
+    config: KernelConfig,
+    iterations: usize,
+) -> ViewsGrowthCurve {
+    let schema = qvsec_workload::schemas::employee_schema();
+    let mut domain = Domain::with_constants(constants.iter().copied());
+    let secret = parse_query(GROWTH_SECRET, &schema, &mut domain).unwrap();
+    let parsed: Vec<ConjunctiveQuery> = views
+        .iter()
+        .map(|v| parse_query(v, &schema, &mut domain).unwrap())
+        .collect();
+    let space = TupleSpace::full_with_cap(&schema, &domain, 4096).unwrap();
+    let kernel = ProbKernel::new(Arc::new(Dictionary::half(space)), config);
+    let mut mode = String::new();
+    let points = (1..=parsed.len())
+        .map(|k| {
+            let prefix = ViewSet::from_views(parsed[..k].to_vec());
+            // The first audit compiles the new view and builds its pool
+            // column; the timed ones recompute only the analysis.
+            let audit = kernel.evaluate(&secret, &prefix).unwrap();
+            mode = format!("{:?}", audit.estimator.mode);
+            ViewsGrowthPoint {
+                views: k,
+                combos: parsed[..k]
+                    .iter()
+                    .map(|v| kernel.compile_cached(v).num_answers() as u64)
+                    .product(),
+                kernel_nanos: best_of(iterations, || {
+                    kernel.evaluate(&secret, &prefix).unwrap();
+                }),
+            }
+        })
+        .collect();
+    ViewsGrowthCurve {
+        name: name.to_string(),
+        mode,
+        secret: GROWTH_SECRET.to_string(),
+        views: views.iter().map(|v| v.to_string()).collect(),
+        points,
+    }
+}
+
+/// The views-growth sweep: the Monte-Carlo curve at `deep_sessions`' spec
+/// (½, 512 samples, seed 7, report cap 16) and the exact ½ curve.
+pub fn run_views_growth(iterations: usize) -> Vec<ViewsGrowthCurve> {
+    let capped = KernelConfig {
+        report_cap: Some(DEFAULT_REPORT_CAP),
+        ..KernelConfig::default()
+    };
+    vec![
+        views_growth_curve(
+            "mc/deep_sessions",
+            &["ann", "bea", "Mgmt"],
+            &GROWTH_MC_VIEWS,
+            KernelConfig {
+                samples: 512,
+                seed: 7,
+                ..capped
+            },
+            iterations,
+        ),
+        views_growth_curve(
+            "exact-half/employee2",
+            &["ann", "bea"],
+            &GROWTH_EXACT_VIEWS,
+            capped,
+            iterations,
+        ),
+    ]
+}
+
 /// Runs the harness over the three collusion workloads.
 pub fn run_session_bench(iterations: usize) -> SessionBenchReport {
     run_session_bench_with(iterations, DEFAULT_MC_SAMPLES)
@@ -340,6 +484,7 @@ pub fn run_session_bench_with(iterations: usize, mc_samples: usize) -> SessionBe
             .iter()
             .all(|w| w.steps.iter().skip(1).all(|s| s.cache.any_reuse())),
         workloads: reports,
+        views_growth: run_views_growth(iterations),
     }
 }
 
@@ -379,5 +524,27 @@ pub fn render_report(report: &SessionBenchReport) -> String {
         "geomean warm-step (>=2) speedup {:.2}x, verdicts match: {}, warm cache hits: {}",
         report.geomean_warm_speedup, report.all_verdicts_match, report.warm_steps_all_hit_cache
     );
+    let _ = writeln!(
+        out,
+        "kernel audit latency against audited views (memo off):"
+    );
+    let _ = writeln!(
+        out,
+        "{:<22} {:<10} {:>5} {:>9} {:>12}",
+        "curve", "mode", "views", "combos", "kernel µs"
+    );
+    for curve in &report.views_growth {
+        for p in &curve.points {
+            let _ = writeln!(
+                out,
+                "{:<22} {:<10} {:>5} {:>9} {:>12.1}",
+                curve.name,
+                curve.mode,
+                p.views,
+                p.combos,
+                p.kernel_nanos as f64 / 1000.0,
+            );
+        }
+    }
     out
 }

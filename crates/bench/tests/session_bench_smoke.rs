@@ -1,7 +1,28 @@
 //! Smoke tests for the session bench harness and the committed
 //! `BENCH_session.json` artifact.
 
-use qvsec_bench::session::{render_report, run_session_bench_with, SessionBenchReport};
+use qvsec_bench::session::{
+    render_report, run_session_bench_with, SessionBenchReport, ViewsGrowthCurve,
+};
+
+/// The views-growth section's shape: a Monte-Carlo and an exact curve, one
+/// point per prefix of eight views, with the combos the view shapes fix.
+fn assert_views_growth_shape(curves: &[ViewsGrowthCurve]) {
+    let modes: Vec<&str> = curves.iter().map(|c| c.mode.as_str()).collect();
+    assert_eq!(modes, ["MonteCarlo", "Exact"]);
+    let answers: [[u64; 8]; 2] = [[9, 3, 3, 3, 9, 3, 3, 3], [4, 2, 2, 2, 4, 2, 2, 2]];
+    for (curve, answers) in curves.iter().zip(answers) {
+        assert_eq!(curve.views.len(), 8, "{}", curve.name);
+        let ks: Vec<usize> = curve.points.iter().map(|p| p.views).collect();
+        assert_eq!(ks, (1..=8).collect::<Vec<_>>(), "{}", curve.name);
+        let mut combos = 1;
+        for (p, n) in curve.points.iter().zip(answers) {
+            combos *= n;
+            assert_eq!(p.combos, combos, "{} at {} views", curve.name, p.views);
+            assert!(p.kernel_nanos > 0);
+        }
+    }
+}
 
 #[test]
 fn harness_runs_warm_steps_hit_cache_and_match_the_stateless_baseline() {
@@ -50,8 +71,11 @@ fn harness_runs_warm_steps_hit_cache_and_match_the_stateless_baseline() {
     assert_eq!(republished.cache.crit_cache_misses, 0);
     assert_eq!(republished.cache.queries_compiled, 0);
 
+    assert_views_growth_shape(&report.views_growth);
+
     let rendered = render_report(&report);
     assert!(rendered.contains("geomean"));
+    assert!(rendered.contains("mc/deep_sessions"));
     let json = serde_json::to_string(&report).unwrap();
     let back: SessionBenchReport = serde_json::from_str(&json).unwrap();
     assert_eq!(back.workloads.len(), report.workloads.len());
@@ -66,6 +90,7 @@ fn committed_bench_session_json_parses_and_holds_the_acceptance_criteria() {
         serde_json::from_str(&text).expect("BENCH_session.json parses");
     assert!(!report.workloads.is_empty());
     assert!(report.threads >= 1);
+    assert_views_growth_shape(&report.views_growth);
     assert!(
         report.all_verdicts_match,
         "committed run had a session/stateless divergence"

@@ -246,21 +246,25 @@ fn assert_probabilistic_stage_matches_definitions(
 // The probabilistic kernel behind the engine's Probabilistic stage must be
 // transparent: on enumerable spaces its three verdicts are identical to the
 // literal definitions — over the paper's uniform-1/2 dictionary (integer
-// counts) and a non-uniform one (rational masses), for one view and for a
-// two-view collusion — and under rayon-parallel batches a fixed seed yields
-// byte-identical reports.
+// counts) and a non-uniform one (rational masses), for one view and for
+// two- and three-view collusions — and under rayon-parallel batches a fixed
+// seed yields byte-identical reports.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn probabilistic_stage_equals_the_enumeration_baselines(
-        s_text in query_text(), v1_text in query_text(), v2_text in query_text()
+        s_text in query_text(),
+        v1_text in query_text(),
+        v2_text in query_text(),
+        v3_text in query_text()
     ) {
         let schema = schema();
         let mut domain = domain();
         let s = parse(&s_text, &schema, &mut domain);
         let v1 = parse(&v1_text, &schema, &mut domain);
         let v2 = parse(&v2_text, &schema, &mut domain);
+        let v3 = parse(&v3_text, &schema, &mut domain);
         let space = TupleSpace::full(&schema, &domain).unwrap();
         let probs: Vec<Ratio> = (0..space.len())
             .map(|i| Ratio::new(1 + (i as i128 % 3), 4))
@@ -273,6 +277,7 @@ proptest! {
             for views in [
                 ViewSet::single(v1.clone()),
                 ViewSet::from_views(vec![v1.clone(), v2.clone()]),
+                ViewSet::from_views(vec![v1.clone(), v2.clone(), v3.clone()]),
             ] {
                 assert_probabilistic_stage_matches_definitions((&schema, &domain), &s, &views, dict);
             }

@@ -18,7 +18,7 @@ use qvsec_cq::homomorphism::find_homomorphisms;
 use qvsec_cq::ConjunctiveQuery;
 use qvsec_data::bitset::BitSet;
 use qvsec_data::{Instance, TupleSpace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A query compiled against a tuple space.
 #[derive(Debug, Clone)]
@@ -40,19 +40,33 @@ pub struct CompiledQuery {
 }
 
 /// Keeps only witnesses not strictly containing another witness (the
-/// minimality filter of `lineage_dnf`).
+/// minimality filter of `lineage_dnf`), in their sorted order. A strict
+/// subset of a sorted witness starts at one of that witness's elements, so
+/// each witness is tested only against the shorter witnesses that start
+/// at one of its elements.
 fn minimal(witnesses: BTreeSet<Vec<usize>>) -> Vec<Vec<usize>> {
     let all: Vec<Vec<usize>> = witnesses.into_iter().collect();
-    let mut out = Vec::new();
-    'outer: for (i, w) in all.iter().enumerate() {
-        for (j, other) in all.iter().enumerate() {
-            if i != j && other.len() < w.len() && other.iter().all(|x| w.contains(x)) {
-                continue 'outer;
-            }
-        }
-        out.push(w.clone());
+    // The empty witness (sorted first) is a strict subset of every other.
+    if all.first().is_some_and(|w| w.is_empty()) {
+        return vec![Vec::new()];
     }
-    out
+    let mut by_first: HashMap<usize, Vec<&[usize]>> = HashMap::new();
+    for w in &all {
+        by_first.entry(w[0]).or_default().push(w);
+    }
+    let contains_shorter = |w: &[usize]| {
+        w.iter().any(|first| {
+            by_first.get(first).is_some_and(|starting| {
+                starting
+                    .iter()
+                    .any(|other| other.len() < w.len() && other.iter().all(|x| w.contains(x)))
+            })
+        })
+    };
+    all.iter()
+        .filter(|w| !contains_shorter(w))
+        .cloned()
+        .collect()
 }
 
 impl CompiledQuery {
@@ -308,6 +322,45 @@ mod tests {
             let mut c = Vec::new();
             revived.push_answer_bits_world(&world, &mut c);
             assert_eq!(a, c);
+        }
+    }
+
+    /// The minimality filter as defined: compare every pair of witnesses.
+    fn minimal_by_every_pair(witnesses: &BTreeSet<Vec<usize>>) -> Vec<Vec<usize>> {
+        witnesses
+            .iter()
+            .filter(|w| {
+                !witnesses
+                    .iter()
+                    .any(|other| other.len() < w.len() && other.iter().all(|x| w.contains(x)))
+            })
+            .cloned()
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // Random witness sets over 10 tuples, in one case of eight with the
+        // empty witness: the first-element index keeps exactly the
+        // witnesses the pairwise filter keeps, in the same order.
+        #[test]
+        fn minimal_equals_the_pairwise_filter(
+            raw in proptest::collection::vec(proptest::collection::vec(0usize..10, 1..5), 0..40),
+            empty in 0u8..8,
+        ) {
+            let mut witnesses: BTreeSet<Vec<usize>> = raw
+                .into_iter()
+                .map(|mut w| {
+                    w.sort_unstable();
+                    w.dedup();
+                    w
+                })
+                .collect();
+            if empty == 0 {
+                witnesses.insert(Vec::new());
+            }
+            proptest::prop_assert_eq!(minimal(witnesses.clone()), minimal_by_every_pair(&witnesses));
         }
     }
 

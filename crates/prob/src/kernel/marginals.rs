@@ -1,8 +1,9 @@
-//! Definition 4.1 marginals and Section 6.1 leakage computed directly over
-//! packed signatures.
+//! Definition 4.1 marginals computed directly over packed signatures, and
+//! the bounded top-K selection the Definition 4.1 and Section 6.1 reports
+//! share.
 //!
-//! The literal definitions walk `(AnswerSet, Vec<AnswerSet>)` keys over
-//! `BTreeMap`s of heap-heavy sets. This module computes the same verdicts
+//! The literal definition walks `(AnswerSet, Vec<AnswerSet>)` keys over
+//! `BTreeMap`s of heap-heavy sets. This module computes the same verdict
 //! without materializing a single `AnswerSet` until a violation is actually
 //! reported:
 //!
@@ -17,24 +18,28 @@
 //!   independence test is one `u128` cross-multiplication per pair and the
 //!   `Ratio` normalization (gcd) is deferred to the at-most-`cap` entries
 //!   that survive;
-//! * the violation sort is replaced by a bounded top-K selection whose
-//!   output provably equals the head of the literal definition's stable
-//!   sort.
+//! * the violation sort is replaced by a bounded top-K selection
+//!   ([`TopViolations`], ordered by an explicit emission rank) whose output
+//!   provably equals the head of the literal definition's stable sort.
+//!
+//! The Section 6.1 leakage measure is computed by [`super::leakage`], one
+//! depth-first walk over the view combos that keeps its top entries in the
+//! same [`TopViolations`] under [`FracKey`] or `Ratio` keys.
 //!
 //! The oracles are the definitions themselves. On the exact path the
 //! engine's reports are proptested equal to `check_independence`,
 //! `leakage_exact` and `is_totally_disclosed` (`crates/core/tests/
-//! proptests.rs`, ½ and non-uniform dictionaries, one and two views), and
+//! proptests.rs`, ½ and non-uniform dictionaries, one to three views), and
 //! the kernel's own Definition 4.1 report serializes to the same bytes as
 //! `check_independence` (`crates/prob/tests/marginal_equivalence.rs`). On
 //! the Monte-Carlo path `super::mc_oracle` evaluates `S` and `V̄` on every
 //! pooled world with `qvsec_cq::eval::evaluate`, runs the Definition 4.1
 //! walk over the empirical joint distribution and a Section 6.1 loop over
 //! the same worlds, and applies [`super::significant_f64`] with the very
-//! arguments used here.
+//! arguments used here and in [`super::leakage`].
 
 use super::compile::CompiledQuery;
-use super::{significant_f64, view_combos, KernelLeakEntry, KernelLeakage};
+use super::significant_f64;
 use crate::independence::{IndependenceReport, Violation};
 use qvsec_data::Ratio;
 use std::cmp::{Ordering, Reverse};
@@ -118,13 +123,14 @@ fn build_index<'a, W>(entries: &[(&'a [u64], W)], offsets: &[usize]) -> PackedIn
     }
 }
 
-/// `|posterior − prior|` as an unreduced non-negative fraction; ordering by
+/// A non-negative fraction kept unreduced (`|posterior − prior|` for
+/// Definition 4.1, the relative increase for Section 6.1); ordering by
 /// cross-multiplication is exact and allocation-free. Safe for totals up to
 /// `2^31` (numerator and denominator then fit `2^62`, products `2^124`).
 #[derive(Clone, Copy)]
-struct FracKey {
-    num: u128,
-    den: u128,
+pub(super) struct FracKey {
+    pub(super) num: u128,
+    pub(super) den: u128,
 }
 
 impl Ord for FracKey {
@@ -147,17 +153,16 @@ impl PartialEq for FracKey {
 
 impl Eq for FracKey {}
 
-/// One violating pair: its sort key, emission index (for the stable
-/// tie-break) and marginal ranks (for lazy materialization). `Ord` is
+/// One reported pair: its sort key, emission rank (for the stable
+/// tie-break) and whatever the report needs to materialize it. `Ord` is
 /// "better first": larger key, then earlier emission.
-struct Cand<K> {
+pub(super) struct Cand<K, T> {
     key: K,
-    idx: u32,
-    s: u32,
-    v: u32,
+    pub(super) idx: u64,
+    pub(super) item: T,
 }
 
-impl<K: Ord> Ord for Cand<K> {
+impl<K: Ord, T> Ord for Cand<K, T> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.key
             .cmp(&other.key)
@@ -165,32 +170,33 @@ impl<K: Ord> Ord for Cand<K> {
     }
 }
 
-impl<K: Ord> PartialOrd for Cand<K> {
+impl<K: Ord, T> PartialOrd for Cand<K, T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<K: Ord> PartialEq for Cand<K> {
+impl<K: Ord, T> PartialEq for Cand<K, T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl<K: Ord> Eq for Cand<K> {}
+impl<K: Ord, T> Eq for Cand<K, T> {}
 
-/// Collects violating pairs, keeping either everything (`cap = None`) or a
+/// Collects reported pairs, keeping either everything (`cap = None`) or a
 /// bounded top-K whose final order equals the head of a stable
-/// `sort_by_key(Reverse(key))` over emission order.
-struct TopViolations<K: Ord + Copy> {
+/// `sort_by_key(Reverse(key))` over emission order. Emission ranks must be
+/// distinct and increase in the definition's emission order.
+pub(super) struct TopViolations<K: Ord + Copy, T> {
     cap: Option<usize>,
-    all: Vec<Cand<K>>,
-    heap: BinaryHeap<Reverse<Cand<K>>>,
+    all: Vec<Cand<K, T>>,
+    heap: BinaryHeap<Reverse<Cand<K, T>>>,
     total: usize,
 }
 
-impl<K: Ord + Copy> TopViolations<K> {
-    fn new(cap: Option<usize>) -> Self {
+impl<K: Ord + Copy, T> TopViolations<K, T> {
+    pub(super) fn new(cap: Option<usize>) -> Self {
         TopViolations {
             cap,
             all: Vec::new(),
@@ -199,13 +205,8 @@ impl<K: Ord + Copy> TopViolations<K> {
         }
     }
 
-    fn push(&mut self, key: K, s: u32, v: u32) {
-        let cand = Cand {
-            key,
-            idx: self.total as u32,
-            s,
-            v,
-        };
+    pub(super) fn push(&mut self, key: K, idx: u64, item: T) {
+        let cand = Cand { key, idx, item };
         self.total += 1;
         match self.cap {
             None => self.all.push(cand),
@@ -223,13 +224,13 @@ impl<K: Ord + Copy> TopViolations<K> {
     }
 
     /// The kept candidates, best first (identical to the first
-    /// `min(cap, total)` entries of the stable sort).
-    fn into_sorted(self) -> (Vec<Cand<K>>, usize) {
+    /// `min(cap, total)` entries of the stable sort), and the number pushed.
+    pub(super) fn into_sorted(self) -> (Vec<Cand<K, T>>, usize) {
         let total = self.total;
         let sorted = match self.cap {
             None => {
                 let mut all = self.all;
-                all.sort_by_key(|c| Reverse((c.key, Reverse(c.idx))));
+                all.sort_by(|a, b| b.cmp(a));
                 all
             }
             Some(_) => self
@@ -285,7 +286,7 @@ impl<W: Copy + Default + std::ops::AddAssign> Joint<W> {
 }
 
 fn materialize_violations<K: Ord + Copy>(
-    kept: Vec<Cand<K>>,
+    kept: Vec<Cand<K, (u32, u32)>>,
     compiled: &[Arc<CompiledQuery>],
     offsets: &[usize],
     index: &PackedIndex<'_>,
@@ -294,8 +295,9 @@ fn materialize_violations<K: Ord + Copy>(
     let widths: Vec<usize> = offsets[1..].windows(2).map(|w| w[1] - w[0]).collect();
     kept.into_iter()
         .map(|c| {
-            let (prior, posterior) = ratios(c.s, c.v);
-            let view_part = index.views[c.v as usize];
+            let (s, v) = c.item;
+            let (prior, posterior) = ratios(s, v);
+            let view_part = index.views[v as usize];
             let mut at = 0;
             let view_answers = compiled[1..]
                 .iter()
@@ -307,7 +309,7 @@ fn materialize_violations<K: Ord + Copy>(
                 })
                 .collect();
             Violation {
-                query_answer: compiled[0].decode(index.secrets[c.s as usize]),
+                query_answer: compiled[0].decode(index.secrets[s as usize]),
                 view_answers,
                 prior,
                 posterior,
@@ -363,8 +365,8 @@ pub(crate) fn independence_packed_counts(
                     num: lhs.abs_diff(rhs),
                     den: c_v as u128 * total as u128,
                 },
-                si as u32,
-                vi as u32,
+                pairs as u64,
+                (si as u32, vi as u32),
             );
         }
     }
@@ -419,7 +421,11 @@ pub(crate) fn independence_packed_masses(
             pairs += 1;
             let posterior = posterior_of(si as u32, vi as u32);
             if posterior != prior {
-                top.push((posterior - prior).abs(), si as u32, vi as u32);
+                top.push(
+                    (posterior - prior).abs(),
+                    pairs as u64,
+                    (si as u32, vi as u32),
+                );
             }
         }
     }
@@ -432,121 +438,6 @@ pub(crate) fn independence_packed_masses(
         violations,
         pairs_checked: pairs,
     }
-}
-
-/// The Section 6.1 leakage measure from **count** weights: the one-walk
-/// aggregation of the kernel's mass-weighted signature leakage with plain
-/// `u64` accumulators, `Ratio`s built only for the (few) `(answer, combo)`
-/// pairs. Emission stays answer-major, so the stable sort tie-breaks
-/// identically to `leakage_exact`. With `mc_filter` only increases passing
-/// the 3σ test [`significant_f64`] are reported.
-pub(crate) fn leakage_packed_counts(
-    compiled: &[Arc<CompiledQuery>],
-    offsets: &[usize],
-    entries: &[(&[u64], u64)],
-    total: u64,
-    mc_filter: bool,
-    cap: Option<usize>,
-) -> KernelLeakage {
-    let secret = &compiled[0];
-    let views = &compiled[1..];
-    let m_s = secret.num_answers();
-    let combos = view_combos(views);
-    let combo_matches = |sig: &[u64], combo: &[usize]| {
-        views
-            .iter()
-            .zip(combo)
-            .zip(offsets[1..].windows(2))
-            .all(|((v, &a), w)| v.answer_bit(&sig[w[0]..w[1]], a))
-    };
-
-    let mut priors = vec![0u64; m_s];
-    let mut cond = vec![0u64; combos.len()];
-    let mut joint = vec![0u64; m_s * combos.len()];
-    for (sig, c) in entries {
-        let slice = &sig[offsets[0]..offsets[1]];
-        let set_bits = |f: &mut dyn FnMut(usize)| {
-            for (wi, &word) in slice.iter().enumerate() {
-                let mut b = word;
-                while b != 0 {
-                    f(wi * 64 + b.trailing_zeros() as usize);
-                    b &= b - 1;
-                }
-            }
-        };
-        set_bits(&mut |i| priors[i] += c);
-        for (ci, combo) in combos.iter().enumerate() {
-            if combo_matches(sig, combo) {
-                cond[ci] += c;
-                set_bits(&mut |i| joint[i * combos.len() + ci] += c);
-            }
-        }
-    }
-
-    struct Positive {
-        answer: usize,
-        combo: usize,
-        prior: Ratio,
-        posterior: Ratio,
-        relative: Ratio,
-    }
-    let mut report = KernelLeakage::default();
-    let mut positives: Vec<Positive> = Vec::new();
-    for (i, &c_prior) in priors.iter().enumerate() {
-        if c_prior == 0 {
-            continue;
-        }
-        let prior = Ratio::new(c_prior as i128, total as i128);
-        for (ci, _) in combos.iter().enumerate() {
-            report.pairs_checked += 1;
-            let c_cond = cond[ci];
-            if c_cond == 0 {
-                continue;
-            }
-            let posterior = Ratio::new(joint[i * combos.len() + ci] as i128, c_cond as i128);
-            let relative = (posterior - prior) / prior;
-            let include = if mc_filter {
-                relative > Ratio::ZERO
-                    && significant_f64(
-                        prior.to_f64(),
-                        posterior.to_f64(),
-                        total as f64,
-                        (Ratio::new(c_cond as i128, total as i128).to_f64() * total as f64)
-                            .max(1.0),
-                    )
-            } else {
-                relative > Ratio::ZERO
-            };
-            if include {
-                positives.push(Positive {
-                    answer: i,
-                    combo: ci,
-                    prior,
-                    posterior,
-                    relative,
-                });
-            }
-        }
-    }
-    positives.sort_by_key(|p| Reverse(p.relative));
-    let materialize = |p: &Positive| KernelLeakEntry {
-        query_answer: secret.answers()[p.answer].clone(),
-        view_answers: views
-            .iter()
-            .zip(&combos[p.combo])
-            .map(|(v, &a)| v.answers()[a].clone())
-            .collect(),
-        prior: p.prior,
-        posterior: p.posterior,
-        relative_increase: p.relative,
-    };
-    if let Some(head) = positives.first() {
-        report.max_leak = head.relative;
-        report.witness = Some(materialize(head));
-    }
-    let keep = cap.unwrap_or(usize::MAX).min(positives.len());
-    report.positive_entries = positives[..keep].iter().map(materialize).collect();
-    report
 }
 
 #[cfg(test)]
@@ -615,14 +506,14 @@ mod tests {
             let mut capped = TopViolations::new(Some(cap));
             let mut full = TopViolations::new(None);
             for (i, &k) in keys.iter().enumerate() {
-                capped.push(k, i as u32, 0);
-                full.push(k, i as u32, 0);
+                capped.push(k, i as u64, ());
+                full.push(k, i as u64, ());
             }
             let (kept, total) = capped.into_sorted();
             let (all, _) = full.into_sorted();
             assert_eq!(total, keys.len());
-            let want: Vec<(u64, u32)> = all.iter().take(cap).map(|c| (c.key, c.idx)).collect();
-            let got: Vec<(u64, u32)> = kept.iter().map(|c| (c.key, c.idx)).collect();
+            let want: Vec<(u64, u64)> = all.iter().take(cap).map(|c| (c.key, c.idx)).collect();
+            let got: Vec<(u64, u64)> = kept.iter().map(|c| (c.key, c.idx)).collect();
             assert_eq!(got, want, "cap {cap}");
         }
     }

@@ -140,7 +140,8 @@ fn leakage_oracle(
 }
 
 /// Runs the kernel's Monte-Carlo audit of `(s, views)` and checks it
-/// against the oracle over the kernel's own pool.
+/// against the oracle over the kernel's own pool: uncapped field for field,
+/// and under report caps 0 and 3 on the verdicts and the head of each list.
 fn assert_matches_oracle(
     dict: &Arc<Dictionary>,
     samples: usize,
@@ -148,15 +149,19 @@ fn assert_matches_oracle(
     s: &ConjunctiveQuery,
     views: &ViewSet,
 ) {
-    let config = KernelConfig {
-        exact_cutover: 0,
-        samples,
-        seed,
-        ..KernelConfig::default()
+    let kernel = |report_cap| {
+        let config = KernelConfig {
+            exact_cutover: 0,
+            samples,
+            seed,
+            report_cap,
+            ..KernelConfig::default()
+        };
+        ProbKernel::new(Arc::clone(dict), config)
     };
-    let kernel = ProbKernel::new(Arc::clone(dict), config);
-    let audit = kernel.evaluate(s, views).unwrap();
-    let pool = kernel.shared_pool();
+    let uncapped = kernel(None);
+    let audit = uncapped.evaluate(s, views).unwrap();
+    let pool = uncapped.shared_pool();
     let outcomes: Vec<Outcome> = pool
         .worlds()
         .iter()
@@ -171,15 +176,30 @@ fn assert_matches_oracle(
     assert_eq!(audit.independence.independent, independence.independent);
     assert_eq!(audit.independence.pairs_checked, independence.pairs_checked);
     assert_eq!(audit.independence.violations, independence.violations);
-    assert_eq!(
-        audit.leakage,
-        leakage_oracle(&outcomes, pool.space(), s, views)
-    );
+    let leakage = leakage_oracle(&outcomes, pool.space(), s, views);
+    assert_eq!(audit.leakage, leakage);
     let mut secret_of: BTreeMap<&Vec<AnswerSet>, &AnswerSet> = BTreeMap::new();
     let determined = outcomes
         .iter()
         .all(|(s_out, v_out)| *secret_of.entry(v_out).or_insert(s_out) == s_out);
     assert_eq!(audit.totally_disclosed, determined);
+
+    let head = |list_len: usize, cap: usize| cap.min(list_len);
+    for cap in [0, 3] {
+        let capped = kernel(Some(cap)).evaluate(s, views).unwrap();
+        let ind = &capped.independence;
+        assert_eq!(ind.independent, independence.independent);
+        assert_eq!(ind.pairs_checked, independence.pairs_checked);
+        let kept = head(independence.violations.len(), cap);
+        assert_eq!(ind.violations[..], independence.violations[..kept]);
+        let leak = &capped.leakage;
+        assert_eq!(leak.max_leak, leakage.max_leak);
+        assert_eq!(leak.witness, leakage.witness);
+        assert_eq!(leak.pairs_checked, leakage.pairs_checked);
+        let kept = head(leakage.positive_entries.len(), cap);
+        assert_eq!(leak.positive_entries[..], leakage.positive_entries[..kept]);
+        assert_eq!(capped.totally_disclosed, determined);
+    }
 }
 
 /// Random conjunctive query text over R/2 (same shape as the kernel
@@ -211,19 +231,26 @@ fn query_text() -> impl Strategy<Value = String> {
     })
 }
 
-/// Audits `S` against `V1` alone and against `(V1, V2)` over the uniform
-/// `1/2` dictionary on R/2 × {a, b}.
-fn check_one_and_two_views(texts: [&str; 3], samples: usize, seed: u64) {
+/// Audits `S` against `V1`, `(V1, V2)` and `(V1, V2, V3)` over the uniform
+/// dictionary with tuple probability `p` on R/2 × `constants`.
+fn check_one_to_three_views(
+    (constants, p): (&[&str], Ratio),
+    texts: [&str; 4],
+    samples: usize,
+    seed: u64,
+) {
     let mut schema = Schema::new();
     schema.add_relation("R", &["x", "y"]);
-    let mut domain = Domain::with_constants(["a", "b"]);
-    let [s, v1, v2] =
+    let mut domain = Domain::with_constants(constants.iter().copied());
+    let [s, v1, v2, v3] =
         texts.map(|t| parse_query(t, &schema, &mut domain).expect("generated query parses"));
-    let dict = Arc::new(Dictionary::half(
-        TupleSpace::full(&schema, &domain).unwrap(),
-    ));
-    assert_matches_oracle(&dict, samples, seed, &s, &ViewSet::single(v1.clone()));
-    assert_matches_oracle(&dict, samples, seed, &s, &ViewSet::from_views(vec![v1, v2]));
+    let space = TupleSpace::full(&schema, &domain).unwrap();
+    let dict = Arc::new(Dictionary::uniform(space, p).unwrap());
+    let views = [v1, v2, v3];
+    for k in 1..=views.len() {
+        let prefix = ViewSet::from_views(views[..k].to_vec());
+        assert_matches_oracle(&dict, samples, seed, &s, &prefix);
+    }
 }
 
 proptest! {
@@ -235,22 +262,29 @@ proptest! {
         s_text in query_text(),
         v1_text in query_text(),
         v2_text in query_text(),
+        v3_text in query_text(),
         seed in 0u64..1024,
     ) {
-        check_one_and_two_views([&s_text, &v1_text, &v2_text], 2048, seed);
+        let texts = [&*s_text, &v1_text, &v2_text, &v3_text];
+        check_one_to_three_views((&["a", "b"], Ratio::new(1, 2)), texts, 2048, seed);
     }
 
     // The 3σ significance edge: a tiny pool makes the sampled deviations
     // noisy, so many pairs land near the threshold — the packed path must
-    // make the oracle's keep/suppress call on every one of them.
+    // make the oracle's keep/suppress call on every one of them. Over three
+    // constants at tuple probability 1/8 a tiny pool also leaves view combos
+    // no world supports, so the leakage walk prunes whole subtrees (a third
+    // of the three-view checks prune before a reported leak entry).
     #[test]
     fn tiny_pool_three_sigma_edge_cases_equal_the_empirical_definitions(
         s_text in query_text(),
         v1_text in query_text(),
         v2_text in query_text(),
+        v3_text in query_text(),
         seed in 0u64..4096,
         samples in 32usize..256,
     ) {
-        check_one_and_two_views([&s_text, &v1_text, &v2_text], samples, seed);
+        let texts = [&*s_text, &v1_text, &v2_text, &v3_text];
+        check_one_to_three_views((&["a", "b", "c"], Ratio::new(1, 8)), texts, samples, seed);
     }
 }

@@ -24,6 +24,7 @@
 
 pub mod compile;
 pub mod exact;
+pub(crate) mod leakage;
 pub(crate) mod marginals;
 #[cfg(test)]
 mod mc_oracle;
@@ -40,6 +41,7 @@ pub use pool::{SamplePool, POOL_CHUNK};
 pub use stats::{ProbStats, ProbStatsSnapshot};
 
 use crate::independence::IndependenceReport;
+use leakage::AnswerBitmaps;
 use qvsec_cq::eval::Answer;
 use qvsec_cq::{canonical_form, ConjunctiveQuery, ViewSet};
 use qvsec_data::bitset::MAX_ENUMERABLE;
@@ -606,12 +608,15 @@ impl ProbKernel {
                 .collect();
             let counts = count_signatures_from_columns(&columns, &compiled, pool.len());
             // The leakage and total-disclosure passes are served from the
-            // same per-world signatures the independence pass computed.
+            // same pooled worlds the independence pass counted: leakage
+            // walks the columns transposed into per-answer bitmaps.
             self.stats.add_samples_reused(2 * pool.len() as u64);
+            let maps = AnswerBitmaps::from_columns(&compiled, &columns, pool.len());
             Ok(analyse_mc_packed(
                 &compiled,
                 &offsets,
                 &counts,
+                &maps,
                 &pool,
                 self.space.len(),
                 self.config.report_cap,
@@ -659,8 +664,15 @@ impl ProbKernel {
             &borrowed,
             self.config.report_cap,
         );
-        let leakage = leakage_from_signatures(compiled, offsets, &entries, self.config.report_cap);
-        let totally_disclosed = determined(entries.iter().map(|(sig, _)| sig.as_slice()), offsets);
+        let sigs: Vec<&[u64]> = borrowed.iter().map(|(sig, _)| *sig).collect();
+        let masses: Vec<Ratio> = borrowed.iter().map(|(_, p)| *p).collect();
+        let leakage = leakage::leakage_masses(
+            compiled,
+            &AnswerBitmaps::from_signatures(compiled, offsets, &sigs),
+            &masses,
+            self.config.report_cap,
+        );
+        let totally_disclosed = determined(sigs.iter().copied(), offsets);
         KernelAudit {
             independence,
             leakage,
@@ -691,15 +703,17 @@ impl ProbKernel {
             false,
             self.config.report_cap,
         );
-        let leakage = marginals::leakage_packed_counts(
+        let sigs: Vec<&[u64]> = entries.iter().map(|(sig, _)| *sig).collect();
+        let weights: Vec<u64> = entries.iter().map(|(_, c)| *c).collect();
+        let leakage = leakage::leakage_counts(
             compiled,
-            offsets,
-            &entries,
+            &AnswerBitmaps::from_signatures(compiled, offsets, &sigs),
+            Some(&weights),
             counts.total,
             false,
             self.config.report_cap,
         );
-        let totally_disclosed = determined(entries.iter().map(|(sig, _)| *sig), offsets);
+        let totally_disclosed = determined(sigs.iter().copied(), offsets);
         KernelAudit {
             independence,
             leakage,
@@ -745,150 +759,6 @@ fn determined<'a>(sigs: impl Iterator<Item = &'a [u64]>, offsets: &[usize]) -> b
     true
 }
 
-/// All index combinations of one possible answer per view, in the same
-/// order as the enumeration baseline's cartesian product (earlier views
-/// vary more slowly).
-pub(crate) fn view_combos(views: &[Arc<CompiledQuery>]) -> Vec<Vec<usize>> {
-    let mut combos: Vec<Vec<usize>> = vec![Vec::new()];
-    for v in views {
-        let mut next = Vec::with_capacity(combos.len() * v.num_answers());
-        for combo in &combos {
-            for a in 0..v.num_answers() {
-                let mut c = combo.clone();
-                c.push(a);
-                next.push(c);
-            }
-        }
-        combos = next;
-    }
-    combos
-}
-
-/// The Section 6.1 leakage measure over an exact mass-weighted signature
-/// distribution: every positive relative increase is reported (matching
-/// `leakage_exact`).
-///
-/// The aggregation is near-linear in the signature list: the per-pair joint
-/// masses `P[s ⊆ S ∧ v̄ ⊆ V̄]` are **indexed by secret-answer bit** in one
-/// walk — each signature that matches a combo contributes its weight to
-/// every set bit of its secret slice — instead of re-walking all signatures
-/// once per `(answer, combo)` pair, which made many-answer workloads
-/// (`collusion` in `BENCH_prob.json`) quadratic.
-///
-/// Entries are materialized **lazily**: the scan records only `(answer,
-/// combo, ratios)` index triples, and the answer tuples are cloned for the
-/// (at most `cap`) entries that survive the sort. `max_leak`, the witness
-/// and `pairs_checked` always cover every pair; with `cap = None` the
-/// reported list is byte-identical to the uncapped historical output (the
-/// sort is stable over emission order, exactly like the old
-/// `sort_by_key(Reverse(relative_increase))`).
-fn leakage_from_signatures(
-    compiled: &[Arc<CompiledQuery>],
-    offsets: &[usize],
-    entries: &[(Vec<u64>, Ratio)],
-    cap: Option<usize>,
-) -> KernelLeakage {
-    let secret = &compiled[0];
-    let views = &compiled[1..];
-    let m_s = secret.num_answers();
-    let combos = view_combos(views);
-
-    fn secret_slice<'a>(sig: &'a [u64], offsets: &[usize]) -> &'a [u64] {
-        &sig[offsets[0]..offsets[1]]
-    }
-    let combo_matches = |sig: &[u64], combo: &[usize]| {
-        views
-            .iter()
-            .zip(combo)
-            .zip(offsets[1..].windows(2))
-            .all(|((v, &a), w)| v.answer_bit(&sig[w[0]..w[1]], a))
-    };
-
-    // One walk: priors per secret answer, conditioning mass per combo, and
-    // the joint mass of every (answer, combo) pair via set-bit iteration
-    // over the matching signature's secret slice.
-    let mut priors = vec![Ratio::ZERO; m_s];
-    let mut cond = vec![Ratio::ZERO; combos.len()];
-    let mut joint = vec![Ratio::ZERO; m_s * combos.len()];
-    for (sig, w) in entries {
-        let slice = secret_slice(sig, offsets);
-        let set_bits = |f: &mut dyn FnMut(usize)| {
-            for (wi, &word) in slice.iter().enumerate() {
-                let mut b = word;
-                while b != 0 {
-                    f(wi * 64 + b.trailing_zeros() as usize);
-                    b &= b - 1;
-                }
-            }
-        };
-        set_bits(&mut |i| priors[i] += *w);
-        for (ci, combo) in combos.iter().enumerate() {
-            if combo_matches(sig, combo) {
-                cond[ci] += *w;
-                set_bits(&mut |i| joint[i * combos.len() + ci] += *w);
-            }
-        }
-    }
-
-    // Emission stays answer-major (then combo), exactly like the
-    // enumeration baseline, so tie-breaking in the stable sort below is
-    // byte-identical to `leakage_exact`. Nothing is cloned during the scan.
-    struct Positive {
-        answer: usize,
-        combo: usize,
-        prior: Ratio,
-        posterior: Ratio,
-        relative: Ratio,
-    }
-    let mut report = KernelLeakage::default();
-    let mut positives: Vec<Positive> = Vec::new();
-    for (i, &prior) in priors.iter().enumerate() {
-        if prior.is_zero() {
-            continue;
-        }
-        for (ci, _) in combos.iter().enumerate() {
-            report.pairs_checked += 1;
-            let c = cond[ci];
-            if c.is_zero() {
-                continue;
-            }
-            let posterior = joint[i * combos.len() + ci] / c;
-            let relative = (posterior - prior) / prior;
-            if relative > Ratio::ZERO {
-                positives.push(Positive {
-                    answer: i,
-                    combo: ci,
-                    prior,
-                    posterior,
-                    relative,
-                });
-            }
-        }
-    }
-    // Stable sort over emission order — equal increases keep the
-    // answer-major tie-break of the enumeration baseline, and the head of
-    // the sorted list is the earliest-emitted maximum (the old witness).
-    positives.sort_by_key(|p| std::cmp::Reverse(p.relative));
-    let materialize = |p: &Positive| KernelLeakEntry {
-        query_answer: secret.answers()[p.answer].clone(),
-        view_answers: views
-            .iter()
-            .zip(&combos[p.combo])
-            .map(|(v, &a)| v.answers()[a].clone())
-            .collect(),
-        prior: p.prior,
-        posterior: p.posterior,
-        relative_increase: p.relative,
-    };
-    if let Some(top) = positives.first() {
-        report.max_leak = top.relative;
-        report.witness = Some(materialize(top));
-    }
-    let keep = cap.unwrap_or(usize::MAX).min(positives.len());
-    report.positive_entries = positives[..keep].iter().map(materialize).collect();
-    report
-}
-
 /// Whether `q − p` exceeds three combined standard errors for binomial
 /// estimates over `n` (prior `p`) and `n_cond` (posterior `q`) samples. The
 /// packed count path feeds `c/n` divisions directly; they are bit-identical
@@ -900,14 +770,16 @@ pub(crate) fn significant_f64(p: f64, q: f64, n: f64, n_cond: f64) -> bool {
 }
 
 /// The Monte-Carlo analysis: the three verdicts from pooled signature
-/// counts, reported as exact count ratios with a 3σ significance filter on
-/// violations and leak entries — integer marginals, `u128` cross-multiplied
-/// independence tests, and no `AnswerSet` decoded until a violation or leak
-/// entry is reported.
+/// counts (independence, total disclosure) and per-answer world bitmaps
+/// (leakage), reported as exact count ratios with a 3σ significance filter
+/// on violations and leak entries — integer marginals, `u128`
+/// cross-multiplied tests, and no `AnswerSet` decoded until a violation or
+/// leak entry is reported.
 fn analyse_mc_packed(
     compiled: &[Arc<CompiledQuery>],
     offsets: &[usize],
     counts: &SignatureCounts,
+    maps: &AnswerBitmaps,
     pool: &SamplePool,
     space_size: usize,
     report_cap: Option<usize>,
@@ -920,8 +792,7 @@ fn analyse_mc_packed(
         .collect();
     let independence =
         marginals::independence_packed_counts(compiled, offsets, &entries, n, true, report_cap);
-    let leakage =
-        marginals::leakage_packed_counts(compiled, offsets, &entries, n, true, report_cap);
+    let leakage = leakage::leakage_counts(compiled, maps, None, n, true, report_cap);
     let totally_disclosed = determined(entries.iter().map(|(sig, _)| *sig), offsets);
     KernelAudit {
         independence,
