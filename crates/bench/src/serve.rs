@@ -17,9 +17,8 @@
 //! A third axis drives **concurrent clients**: N real client threads over
 //! the NDJSON TCP server, each serving a disjoint slice of the tenants.
 //! The sharded memo locks have to show up here as throughput — and the
-//! per-tenant response streams have to stay identical (modulo cache
-//! counters, the only fields that legitimately depend on interleaving) to
-//! the single-client drive at every thread count.
+//! per-tenant response streams have to stay byte-identical to the
+//! single-client drive at every thread count.
 //!
 //! The binary `bench_serve` runs this harness and writes
 //! `BENCH_serve.json`, mirroring the other committed bench artifacts.
@@ -91,7 +90,7 @@ pub struct ConcurrentPoint {
     /// Single-client wall clock over this point's (`nanos` ≥ 1).
     pub speedup_vs_1: f64,
     /// Whether every tenant's response stream was byte-identical to the
-    /// single-client drive after dropping the cache-counter objects.
+    /// single-client drive.
     pub responses_match: bool,
 }
 
@@ -135,8 +134,7 @@ pub struct SaturationPoint {
     /// connections under the default lifecycle are never shed).
     pub dropped_responses: usize,
     /// Whether every connection's response stream was byte-identical to a
-    /// sequential one-connection-at-a-time drive of the same scripts
-    /// (cache counters stripped).
+    /// sequential one-connection-at-a-time drive of the same scripts.
     pub responses_match: bool,
     /// The server's connection counters after the verification drive.
     pub server: ServerStats,
@@ -401,50 +399,16 @@ fn drive_concurrent(
     responses
 }
 
-/// Drops every `cache` member — engine-wide hit/miss/eviction counters,
-/// the only response fields that legitimately depend on how concurrent
-/// requests interleave — so the rest must be byte-identical.
-fn strip_cache_counters(value: Value) -> Value {
-    match value {
-        Value::Object(entries) => Value::Object(
-            entries
-                .into_iter()
-                .filter(|(k, _)| k != "cache")
-                .map(|(k, v)| (k, strip_cache_counters(v)))
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.into_iter().map(strip_cache_counters).collect()),
-        other => other,
-    }
-}
-
-fn canonical_responses(per_tenant: &[Vec<String>]) -> Vec<Vec<String>> {
-    per_tenant
-        .iter()
-        .map(|lines| {
-            lines
-                .iter()
-                .map(|line| {
-                    let value = serde_json::parse(line).expect("responses are JSON");
-                    serde_json::to_string(&strip_cache_counters(value))
-                        .expect("rendering is infallible")
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// The concurrent-client sweep: 1, 2 and 4 client threads over the same
 /// tenant scripts, verified against the single-client drive.
 fn run_concurrent(workload: &Workload, tenants: usize, iterations: usize) -> ConcurrentReport {
     let scripts = tenant_scripts(workload, tenants);
     let requests: usize = scripts.iter().map(Vec::len).sum();
-    let baseline = canonical_responses(&drive_concurrent(workload, &scripts, 1));
+    let baseline = drive_concurrent(workload, &scripts, 1);
     let mut points = Vec::new();
     let mut single_nanos = 0u64;
     for clients in [1usize, 2, 4] {
-        let responses_match =
-            canonical_responses(&drive_concurrent(workload, &scripts, clients)) == baseline;
+        let responses_match = drive_concurrent(workload, &scripts, clients) == baseline;
         let nanos = best_of(iterations, || {
             drive_concurrent(workload, &scripts, clients);
         });
@@ -481,7 +445,7 @@ pub fn run_concurrent_bench(
 /// One cheap keep-alive script per connection: open a connection-disjoint
 /// tenant, publish the workload's steps, then one candidate re-asking the
 /// first view. Every op is tenant-local, so a concurrent drive and a
-/// sequential one must answer identically (modulo cache counters).
+/// sequential one must answer identically.
 fn saturation_scripts(workload: &Workload, connections: usize) -> Vec<Vec<String>> {
     let secret = workload
         .secret
@@ -557,7 +521,7 @@ fn drive_saturation(
 }
 
 /// A sequential ground-truth drive of the same scripts: one connection at
-/// a time against a fresh server, canonicalized for comparison.
+/// a time against a fresh server.
 fn sequential_baseline(workload: &Workload, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
     let engine = Arc::new(workload.engine_with_budget(None));
     let registry = Arc::new(SessionRegistry::new(engine));
@@ -571,7 +535,7 @@ fn sequential_baseline(workload: &Workload, scripts: &[Vec<String>]) -> Vec<Vec<
         .collect();
     handle.shutdown();
     join.join().expect("server thread").expect("server run");
-    canonical_responses(&responses)
+    responses
 }
 
 fn percentile_micros(sorted_nanos: &[u64], p: f64) -> u64 {
@@ -598,8 +562,7 @@ fn run_saturation(
         let requests: usize = scripts.iter().map(Vec::len).sum();
         let baseline = sequential_baseline(workload, &scripts);
         let (verify_outcome, verify_stats, mut best_nanos) = drive_saturation(workload, &scripts);
-        let responses_match = verify_outcome.dropped == 0
-            && canonical_responses(&verify_outcome.responses) == baseline;
+        let responses_match = verify_outcome.dropped == 0 && verify_outcome.responses == baseline;
         let mut best_latencies = verify_outcome.latencies_nanos.clone();
         let mut dropped = verify_outcome.dropped;
         for _ in 1..iterations.max(1) {

@@ -56,7 +56,8 @@ pub struct SessionStepReport {
     /// Whether the session's cumulative report is byte-identical to the
     /// fresh engine's.
     pub verdicts_match: bool,
-    /// The committing publish's cache-reuse delta.
+    /// The engine's cache counters moved by the committing publish (the
+    /// harness is serial, so the delta is the step's own).
     pub cache: CacheStatsSnapshot,
 }
 
@@ -209,9 +210,11 @@ fn run_workload(workload: &Workload, iterations: usize) -> SessionWorkloadReport
         let warm_nanos = best_of(iterations, || {
             session.audit_candidate(view).unwrap();
         });
+        let before = engine.cache_stats();
         let report = session
             .publish_named(view_name.clone(), view.clone())
             .unwrap();
+        let cache = engine.cache_stats().delta_since(&before);
         published.push(view.clone());
 
         // Cold baseline: a fresh engine per request — the stateless serving
@@ -235,7 +238,7 @@ fn run_workload(workload: &Workload, iterations: usize) -> SessionWorkloadReport
             warm_nanos,
             speedup: cold_nanos as f64 / warm_nanos.max(1) as f64,
             verdicts_match,
-            cache: report.cache,
+            cache,
         });
     }
     let warm: Vec<f64> = steps.iter().skip(1).map(|s| s.speedup).collect();

@@ -94,10 +94,10 @@ fn serves_the_committed_request_script_deterministically() {
     // announcement, drive the committed two-tenant script with `request`,
     // shut it down, and repeat. Two runs must produce byte-identical
     // response streams, and the small committed cache budget must show
-    // evictions in the final stats.
+    // evictions in the metrics plane.
     use std::io::BufRead;
 
-    let run_once = || -> Vec<u8> {
+    let run_once = || -> (Vec<u8>, serde_json::Value) {
         let mut server = Command::new(env!("CARGO_BIN_EXE_qvsec-cli"))
             .args([
                 "serve",
@@ -134,7 +134,8 @@ fn serves_the_committed_request_script_deterministically() {
             "request failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        // Shut the server down over the wire and reap it.
+        // Read the metrics plane, then shut the server down over the wire
+        // and reap it.
         let bye = Command::new(env!("CARGO_BIN_EXE_qvsec-cli"))
             .args(["request", "--addr", &addr])
             .current_dir(repo_root())
@@ -146,19 +147,22 @@ fn serves_the_committed_request_script_deterministically() {
         bye.stdin
             .as_ref()
             .expect("stdin piped")
-            .write_all(b"{\"op\": \"shutdown\"}\n")
-            .expect("shutdown request sent");
-        assert!(bye
-            .wait_with_output()
-            .expect("client exits")
-            .status
-            .success());
+            .write_all(b"{\"op\": \"metrics\"}\n{\"op\": \"shutdown\"}\n")
+            .expect("metrics and shutdown requests sent");
+        let bye = bye.wait_with_output().expect("client exits");
+        assert!(bye.status.success());
         assert!(server.wait().expect("server exits").success());
-        out.stdout
+        let metrics = std::str::from_utf8(&bye.stdout)
+            .expect("UTF-8 output")
+            .lines()
+            .next()
+            .map(|l| serde_json::parse(l).expect("the metrics response is JSON"))
+            .expect("a metrics response");
+        (out.stdout, metrics)
     };
 
-    let first = run_once();
-    let second = run_once();
+    let (first, metrics) = run_once();
+    let (second, _) = run_once();
     assert_eq!(
         first, second,
         "two server lifecycles must agree byte-for-byte"
@@ -182,18 +186,14 @@ fn serves_the_committed_request_script_deterministically() {
     }
     // The committed spec's byte budget is deliberately tiny, so this run
     // demonstrates eviction (not warmth — the unbounded warm path is
-    // pinned down by the registry and bench tests): evictions and evicted
-    // bytes must show in the final stats, and both tenants are accounted.
+    // pinned down by the registry and bench tests): evictions must show in
+    // the metrics plane, and both tenants are accounted in the stats.
     let stats = responses[8].field("stats");
     assert_eq!(stats.field("tenants").as_array().unwrap().len(), 2);
+    let gauges = metrics.field("metrics").field("gauges");
     assert!(
-        stats
-            .field("engine_cache")
-            .field("evictions")
-            .as_int()
-            .unwrap()
-            > 0,
-        "4 KiB budget must evict: {stats:?}"
+        gauges.field("cache.evictions").as_int().unwrap() > 0,
+        "4 KiB budget must evict: {gauges:?}"
     );
     let alice = &stats.field("tenants").as_array().unwrap()[0];
     assert_eq!(alice.field("tenant").as_str(), Some("alice"));
@@ -223,11 +223,6 @@ fn replays_the_committed_session_script() {
             &serde_json::Value::Bool(false)
         );
     }
-    // Warm steps serve compiled artifacts from cache.
-    let carol_cache = entries[1].field("cache");
-    assert!(carol_cache.field("crit_cache_hits").as_int().unwrap() > 0);
-    assert!(carol_cache.field("compile_cache_hits").as_int().unwrap() > 0);
-
     // Snapshot / candidate / restore / replayed publish.
     assert_eq!(entries[2].field("snapshot").as_str(), Some("pre-dana"));
     assert_eq!(
@@ -238,11 +233,6 @@ fn replays_the_committed_session_script() {
     assert_eq!(entries[4].field("restored").as_str(), Some("pre-dana"));
     let dana = &entries[5];
     assert_eq!(dana.field("view").as_str(), Some("dana"));
-    assert_eq!(
-        dana.field("cache").field("crit_cache_misses").as_int(),
-        Some(0),
-        "replaying after the what-if is served entirely from the memo"
-    );
     // The candidate and the committed replay audit the same prefix: their
     // cumulative reports agree.
     assert_eq!(

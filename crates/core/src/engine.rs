@@ -24,6 +24,12 @@
 //! budget stops at `Fast`, the report says so (`conclusive == false`)
 //! rather than guessing.
 //!
+//! Every stage assumes tuple-independent instances. Key constraints break
+//! that assumption (§5.2 Application 2: a pair secure by Theorem 4.5 can
+//! disclose under a key), so an engine whose schema declares keys refuses
+//! to audit and points at Corollary 5.3,
+//! [`crate::prior::keys::secure_under_keys`].
+//!
 //! ## Compiled artifacts
 //!
 //! The exact stage needs `crit_D(Q)` for the secret and every view. The
@@ -52,8 +58,8 @@
 //! [`AuditEngine::open_session`] returns an [`AuditSession`] — the
 //! incremental-publication handle for the paper's §6 collusion flow
 //! ("V₁…Vₖ are public; is it safe to *also* publish Vₖ₊₁?"), which answers
-//! each marginal question over the warm artifact store and reports
-//! per-step cache-reuse deltas. See [`crate::session`].
+//! each marginal question over the warm artifact store. See
+//! [`crate::session`].
 //!
 //! ## The probabilistic kernel
 //!
@@ -437,7 +443,6 @@ impl AuditEngineBuilder {
             ),
             prob_kernel: OnceLock::new(),
             store: self.store,
-            stats_baseline: OnceLock::new(),
         }
     }
 }
@@ -486,12 +491,6 @@ pub struct AuditEngine {
     /// Optional durable backing shared by every cache layer (also handed
     /// to the kernel when it is built).
     store: Option<Arc<dyn StoreBackend>>,
-    /// Counter offset from a previous process's journaled snapshot, set by
-    /// [`AuditEngine::set_stats_baseline`] during rehydration and added to
-    /// the monotonic fields of [`AuditEngine::cache_stats`] — so a
-    /// restarted engine's cumulative statistics continue where the crashed
-    /// process stopped, and per-step deltas cancel the offset entirely.
-    stats_baseline: OnceLock<CacheStatsSnapshot>,
 }
 
 // The engine is shared across audit worker threads.
@@ -547,12 +546,13 @@ impl AuditEngine {
     /// A combined snapshot of every artifact/cache layer the engine runs:
     /// crit-set and candidate-space memo hits, cross-domain class-verdict
     /// reuses, probabilistic compile-cache hits and shared-pool sample
-    /// reuse. [`AuditSession`] reports per-step deltas of this snapshot.
+    /// reuse, counted since this engine was built. This is the only place
+    /// the counters are read; no audit or session report carries them.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
         let artifacts: ArtifactCounters = self.artifacts.counters();
         let crit = self.artifacts.crit_stats().snapshot();
         let prob = self.prob_stats();
-        let mut snap = CacheStatsSnapshot {
+        CacheStatsSnapshot {
             crit_cache_hits: artifacts.crit_cache_hits,
             crit_cache_misses: artifacts.crit_cache_misses,
             space_cache_hits: artifacts.space_cache_hits,
@@ -568,15 +568,7 @@ impl AuditEngine {
             evictions: artifacts.evictions + prob.evictions,
             evicted_bytes: artifacts.evicted_bytes + prob.evicted_bytes,
             resident_bytes: artifacts.resident_bytes + prob.resident_bytes,
-        };
-        if let Some(base) = self.stats_baseline.get() {
-            // The baseline shifts monotonic counters only: resident bytes
-            // are a gauge, reproduced directly by rehydration's prewarm.
-            let resident = snap.resident_bytes;
-            snap.accumulate(base);
-            snap.resident_bytes = resident;
         }
-        snap
     }
 
     /// Opens an [`AuditSession`] for `secret`: a long-lived handle that
@@ -616,13 +608,6 @@ impl AuditEngine {
                 self.store.clone(),
             ))
         })
-    }
-
-    /// Installs the counter baseline a rehydrated engine continues from
-    /// (typically the last journaled [`CacheStatsSnapshot`] of the previous
-    /// process). First call wins; later calls are ignored.
-    pub fn set_stats_baseline(&self, baseline: CacheStatsSnapshot) {
-        let _ = self.stats_baseline.set(baseline);
     }
 
     /// Rehydrates the engine's caches from its durable store after a
@@ -713,9 +698,18 @@ impl AuditEngine {
         self.artifacts.probe(query)
     }
 
-    /// Runs one audit to the requested (or default) depth.
+    /// Runs one audit to the requested (or default) depth. Errors when the
+    /// schema declares key constraints: no stage's verdict holds under keys.
     pub fn audit(&self, request: &AuditRequest) -> Result<AuditReport> {
         qvsec_obs::counter("audit.requests").inc();
+        if !self.schema.keys().is_empty() {
+            return Err(QvsError::Invalid(
+                "the schema declares key constraints, under which Theorem 4.5 verdicts do \
+                 not hold; decide security by Corollary 5.3 with \
+                 `qvsec::prior::keys::secure_under_keys`"
+                    .to_string(),
+            ));
+        }
         let depth = request.options.depth.unwrap_or(self.default_depth);
         let threshold = request
             .options
@@ -826,7 +820,8 @@ impl AuditEngine {
 
 /// A combined, serializable snapshot of every cache layer the engine runs.
 /// Monotone over the engine's lifetime; [`CacheStatsSnapshot::delta_since`]
-/// yields the per-operation view sessions attach to their reports.
+/// brackets one serial operation (with concurrent audits on the same
+/// engine, the delta also absorbs their traffic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStatsSnapshot {
     /// `crit(Q)` requests served from the (form, domain-size) memo.
@@ -914,25 +909,6 @@ impl CacheStatsSnapshot {
             evicted_bytes: self.evicted_bytes.saturating_sub(earlier.evicted_bytes),
             resident_bytes: self.resident_bytes.saturating_sub(earlier.resident_bytes),
         }
-    }
-
-    /// Field-wise accumulation of a per-step delta.
-    pub fn accumulate(&mut self, delta: &CacheStatsSnapshot) {
-        self.crit_cache_hits += delta.crit_cache_hits;
-        self.crit_cache_misses += delta.crit_cache_misses;
-        self.space_cache_hits += delta.space_cache_hits;
-        self.space_cache_misses += delta.space_cache_misses;
-        self.class_verdicts_reused += delta.class_verdicts_reused;
-        self.compile_cache_hits += delta.compile_cache_hits;
-        self.queries_compiled += delta.queries_compiled;
-        self.mc_samples_drawn += delta.mc_samples_drawn;
-        self.mc_samples_reused += delta.mc_samples_reused;
-        self.pool_columns_built += delta.pool_columns_built;
-        self.pool_column_hits += delta.pool_column_hits;
-        self.kernel_audit_hits += delta.kernel_audit_hits;
-        self.evictions += delta.evictions;
-        self.evicted_bytes += delta.evicted_bytes;
-        self.resident_bytes += delta.resident_bytes;
     }
 
     /// Whether any layer served anything from cache.
@@ -1077,6 +1053,32 @@ mod tests {
             after_first, after_second,
             "a crit-cache hit does no kernel work"
         );
+    }
+
+    #[test]
+    fn keyed_schemas_are_refused_in_favour_of_corollary_5_3() {
+        // §5.2 Application 2: without the key the pair is secure for every
+        // distribution; knowing `key` is a key, V true implies S false.
+        let mut schema = Schema::new();
+        let r = schema.add_relation("R", &["key", "value"]);
+        schema.add_key(r, &[0]).unwrap();
+        let mut domain = Domain::with_constants(["a", "b", "c"]);
+        let s = parse_query("S() :- R('a', 'b')", &schema, &mut domain).unwrap();
+        let v = parse_query("V() :- R('a', 'c')", &schema, &mut domain).unwrap();
+        let space = qvsec_prob::lineage::support_space(&[&s, &v], &domain, 100).unwrap();
+        let views = ViewSet::single(v);
+        let corollary = crate::prior::secure_under_keys(&s, &views, &schema, &space).unwrap();
+        assert!(!corollary.secure);
+        let engine = AuditEngine::builder(schema, domain).build();
+        for depth in [AuditDepth::Fast, AuditDepth::Exact] {
+            let err = engine
+                .audit(&AuditRequest::new(s.clone(), views.clone()).with_depth(depth))
+                .unwrap_err();
+            let reason = err.to_string();
+            assert!(matches!(err, QvsError::Invalid(_)), "{reason}");
+            assert!(reason.contains("Corollary 5.3"), "{reason}");
+            assert!(reason.contains("secure_under_keys"), "{reason}");
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! the engine's warm [`CompiledArtifacts`](crate::artifacts::CompiledArtifacts):
 //! the secret's critical set is decided once, every previously published
 //! view's compilation and crit set is served from the memo, and the shared
-//! Monte-Carlo pool persists across steps. Each [`SessionReport`] records
-//! exactly how much was reused ([`CacheStatsSnapshot`] delta) next to the
-//! estimator metadata, so a serving system can observe its warm-path
-//! behaviour per request.
+//! Monte-Carlo pool persists across steps. A [`SessionReport`] is a pure
+//! function of the secret, the published prefix and the engine's
+//! configuration: cache reuse is read from the engine's counters
+//! ([`AuditEngine::cache_stats`]), never from a report, so replaying a
+//! script reproduces every report byte whatever else ran on the engine.
 //!
 //! Three kinds of question:
 //!
@@ -28,7 +29,7 @@
 //! the same prefix: caches are transparent and the Monte-Carlo pool is
 //! seed-deterministic (property-tested in `tests/session_equivalence.rs`).
 
-use crate::engine::{AuditEngine, AuditOptions, AuditReport, AuditRequest, CacheStatsSnapshot};
+use crate::engine::{AuditEngine, AuditOptions, AuditReport, AuditRequest};
 use crate::Result;
 use qvsec_cq::{ConjunctiveQuery, ViewSet};
 use qvsec_data::Ratio;
@@ -64,7 +65,7 @@ pub struct MarginalDisclosure {
 }
 
 /// The result of one session step: the cumulative audit report plus the
-/// step's marginal-disclosure and cache-reuse metadata.
+/// step's marginal-disclosure metadata.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionReport {
     /// The session's label.
@@ -83,14 +84,6 @@ pub struct SessionReport {
     pub report: AuditReport,
     /// How this step moved the disclosure posture.
     pub marginal: MarginalDisclosure,
-    /// Cache work saved by this step: memo hits, class-verdict reuses,
-    /// compile-cache hits and pooled samples reused while serving it.
-    ///
-    /// Measured as the delta of the engine's **global** counters around
-    /// this step's audit, so it is attributable to the step only while no
-    /// other audit runs on the same engine concurrently; with overlapping
-    /// sessions or batches the delta also absorbs their cache traffic.
-    pub cache: CacheStatsSnapshot,
 }
 
 impl SessionReport {
@@ -115,43 +108,25 @@ impl SessionReport {
                 self.marginal.marginal_leak.unwrap_or(Ratio::ZERO)
             ));
         }
-        out.push_str(&format!(
-            "cache                 : crit {}h/{}m, spaces {}h/{}m, classes reused {}, compile {}h/{}m, pooled samples reused {}\n",
-            self.cache.crit_cache_hits,
-            self.cache.crit_cache_misses,
-            self.cache.space_cache_hits,
-            self.cache.space_cache_misses,
-            self.cache.class_verdicts_reused,
-            self.cache.compile_cache_hits,
-            self.cache.queries_compiled,
-            self.cache.mc_samples_reused,
-        ));
         out
     }
 }
 
 /// A frozen copy of a session's mutable state, for speculative exploration.
-/// Restoring rewinds the published prefix and the session-cumulative cache
-/// counters; the engine's artifact caches themselves are append-only and
-/// unaffected.
+/// Restoring rewinds the published prefix; the engine's artifact caches are
+/// append-only and unaffected.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     published: Vec<PublishedView>,
     steps_taken: usize,
     prev_secure: Option<bool>,
     prev_max_leak: Option<Ratio>,
-    cumulative_cache: CacheStatsSnapshot,
 }
 
 impl SessionSnapshot {
     /// Number of views published in the captured state.
     pub fn views_published(&self) -> usize {
         self.published.len()
-    }
-
-    /// The session-cumulative cache counters at capture time.
-    pub fn cumulative_cache(&self) -> &CacheStatsSnapshot {
-        &self.cumulative_cache
     }
 }
 
@@ -176,8 +151,9 @@ impl SessionSnapshot {
 /// let first = session.publish(bob).unwrap();
 /// assert_eq!(first.report.secure, Some(false));
 /// // The second step reuses the secret's compiled artifacts:
-/// let second = session.publish(carol).unwrap();
-/// assert!(second.cache.crit_cache_hits > 0);
+/// let before = engine.cache_stats();
+/// session.publish(carol).unwrap();
+/// assert!(engine.cache_stats().delta_since(&before).crit_cache_hits > 0);
 /// assert_eq!(session.views_published(), 2);
 /// ```
 #[derive(Debug)]
@@ -190,7 +166,6 @@ pub struct AuditSession {
     steps_taken: usize,
     prev_secure: Option<bool>,
     prev_max_leak: Option<Ratio>,
-    cumulative_cache: CacheStatsSnapshot,
 }
 
 // Sessions move between serving threads; read-only what-ifs may be shared.
@@ -213,7 +188,6 @@ impl AuditSession {
             steps_taken: 0,
             prev_secure: None,
             prev_max_leak: None,
-            cumulative_cache: CacheStatsSnapshot::default(),
         }
     }
 
@@ -243,11 +217,6 @@ impl AuditSession {
         self.published.len()
     }
 
-    /// Cache reuse accumulated over all committed steps.
-    pub fn cumulative_cache(&self) -> &CacheStatsSnapshot {
-        &self.cumulative_cache
-    }
-
     /// The cumulative [`AuditRequest`] a step audits: the secret against
     /// every published view plus (optionally) one more.
     fn request_with(&self, extra: Option<&ConjunctiveQuery>) -> AuditRequest {
@@ -269,18 +238,14 @@ impl AuditSession {
     }
 
     /// Audits the secret against the published prefix plus `view` and
-    /// builds the step report, without mutating the session. The cache
-    /// delta brackets this audit on the engine's global counters — see the
-    /// caveat on [`SessionReport::cache`].
+    /// builds the step report, without mutating the session.
     fn step_report(
         &self,
         view_name: &str,
         view: &ConjunctiveQuery,
         committed: bool,
     ) -> Result<SessionReport> {
-        let before = self.engine.cache_stats();
         let report = self.engine.audit(&self.request_with(Some(view)))?;
-        let cache = self.engine.cache_stats().delta_since(&before);
         let max_leak = report.leakage.as_ref().map(|l| l.max_leak);
         let marginal = MarginalDisclosure {
             prev_secure: self.prev_secure,
@@ -301,7 +266,6 @@ impl AuditSession {
             views_published: self.published.len() + committed as usize,
             report,
             marginal,
-            cache,
         })
     }
 
@@ -328,7 +292,6 @@ impl AuditSession {
         if let Some(leak) = report.marginal.max_leak {
             self.prev_max_leak = Some(leak);
         }
-        self.cumulative_cache.accumulate(&report.cache);
         Ok(report)
     }
 
@@ -354,7 +317,6 @@ impl AuditSession {
             steps_taken: self.steps_taken,
             prev_secure: self.prev_secure,
             prev_max_leak: self.prev_max_leak,
-            cumulative_cache: self.cumulative_cache,
         }
     }
 
@@ -366,14 +328,13 @@ impl AuditSession {
         self.steps_taken = snapshot.steps_taken;
         self.prev_secure = snapshot.prev_secure;
         self.prev_max_leak = snapshot.prev_max_leak;
-        self.cumulative_cache = snapshot.cumulative_cache;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::AuditDepth;
+    use crate::engine::{AuditDepth, CacheStatsSnapshot};
     use crate::report::DisclosureClass;
     use qvsec_cq::parse_query;
     use qvsec_data::{Dictionary, Domain, Schema};
@@ -401,36 +362,46 @@ mod tests {
         (engine, vec![v1, v2], s)
     }
 
+    /// Runs `step` and returns its result with the engine's cache traffic
+    /// while it ran (these tests are serial, so that is the step's own).
+    fn with_cache_delta<T>(
+        engine: &AuditEngine,
+        step: impl FnOnce() -> T,
+    ) -> (T, CacheStatsSnapshot) {
+        let before = engine.cache_stats();
+        let out = step();
+        (out, engine.cache_stats().delta_since(&before))
+    }
+
     #[test]
     fn publish_accumulates_views_and_reuses_artifacts() {
         let (engine, views, s) = prob_engine();
         let mut session = engine.open_session(s).named("demo");
-        let first = session.publish(views[0].clone()).unwrap();
+        let (first, cache) =
+            with_cache_delta(&engine, || session.publish(views[0].clone()).unwrap());
         assert_eq!(first.step, 1);
         assert!(first.committed);
         assert_eq!(first.views_published, 1);
-        assert_eq!(first.cache.crit_cache_hits, 0, "cold start");
-        assert!(first.cache.queries_compiled >= 2, "secret + view compiled");
+        assert_eq!(cache.crit_cache_hits, 0, "cold start");
+        assert!(cache.queries_compiled >= 2, "secret + view compiled");
         assert!(first.marginal.newly_insecure);
 
-        let second = session.publish(views[1].clone()).unwrap();
+        let (second, cache) =
+            with_cache_delta(&engine, || session.publish(views[1].clone()).unwrap());
         assert_eq!(second.step, 2);
         assert_eq!(second.views_published, 2);
         assert!(
-            second.cache.crit_cache_hits > 0,
-            "warm step reuses crit sets: {:?}",
-            second.cache
+            cache.crit_cache_hits > 0,
+            "warm step reuses crit sets: {cache:?}"
         );
         assert!(
-            second.cache.compile_cache_hits >= 2,
-            "secret + first view compile from memo: {:?}",
-            second.cache
+            cache.compile_cache_hits >= 2,
+            "secret + first view compile from memo: {cache:?}"
         );
         assert!(!second.marginal.newly_insecure, "already insecure");
         assert!(second.marginal.marginal_leak.is_some());
         assert_eq!(session.views_published(), 2);
-        assert!(session.cumulative_cache().any_reuse());
-        assert!(second.render().contains("cache"));
+        assert!(second.render().contains("marginal leakage"));
     }
 
     #[test]
@@ -478,9 +449,11 @@ mod tests {
         // the crit memo answers the criticality stage, and the kernel's
         // audit memo returns the candidate's whole verdict without even
         // touching the compile cache.
-        let committed = session.publish(views[1].clone()).unwrap();
-        assert!(committed.cache.crit_cache_hits > 0);
-        assert!(committed.cache.kernel_audit_hits > 0);
+        let (committed, cache) =
+            with_cache_delta(&engine, || session.publish(views[1].clone()).unwrap());
+        assert!(cache.crit_cache_hits > 0);
+        assert_eq!(cache.crit_cache_misses, 0, "served entirely from memo");
+        assert!(cache.kernel_audit_hits > 0);
         assert_eq!(
             serde_json::to_string(&what_if.report).unwrap(),
             serde_json::to_string(&committed.report).unwrap(),
@@ -489,7 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_state_and_cache_counters() {
+    fn snapshot_restore_round_trips_state() {
         let (engine, views, s) = prob_engine();
         let mut session = engine.open_session(s).named("spec");
         session.publish(views[0].clone()).unwrap();
@@ -504,12 +477,13 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&replay).unwrap(),
             serde_json::to_string(&snap).unwrap(),
-            "snapshot → restore → snapshot round-trips, cache counters included"
+            "snapshot → restore → snapshot round-trips"
         );
         // Replaying the rewound step is served warm and reaches the same
         // cumulative verdict.
-        let replayed = session.publish(views[1].clone()).unwrap();
-        assert!(replayed.cache.any_reuse());
+        let (replayed, cache) =
+            with_cache_delta(&engine, || session.publish(views[1].clone()).unwrap());
+        assert!(cache.any_reuse());
         assert_eq!(replayed.report.secure, Some(false));
     }
 
@@ -525,8 +499,9 @@ mod tests {
         assert_eq!(first.report.secure, Some(false));
         assert_eq!(first.report.class, DisclosureClass::Partial);
         assert!(first.marginal.max_leak.is_none(), "no dictionary, no leak");
-        let second = session.publish_named("carol", carol).unwrap();
-        assert!(second.cache.crit_cache_hits > 0);
+        let (_, cache) =
+            with_cache_delta(&engine, || session.publish_named("carol", carol).unwrap());
+        assert!(cache.crit_cache_hits > 0);
         assert_eq!(session.published()[1].name, "carol");
         let cumulative = session.current_report().unwrap();
         assert_eq!(cumulative.secure, Some(false));
@@ -541,7 +516,7 @@ mod tests {
         let back: SessionReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back.session, report.session);
         assert_eq!(back.step, report.step);
-        assert_eq!(back.cache, report.cache);
         assert_eq!(back.report.secure, report.report.secure);
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 }

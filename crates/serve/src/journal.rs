@@ -10,8 +10,9 @@
 //! tenant's full post-operation [`SessionSnapshot`], so replay never
 //! re-runs an audit — it restores the last snapshot per tenant, rebuilds
 //! the labelled-snapshot map from `snapshot` events, and re-installs the
-//! registry-wide counters and the engine's cache-statistics baseline from
-//! the final event. A process SIGKILLed mid-script therefore rehydrates to
+//! registry-wide request and expiry totals from the final event. Engine
+//! cache counters are process-local and never journaled: they live only in
+//! the metrics plane. A process SIGKILLed mid-script therefore rehydrates to
 //! byte-identical state for every *completed* request (the store backends
 //! discard torn trailing records), and the remainder of the script answers
 //! exactly as the uninterrupted process would have.
@@ -22,7 +23,6 @@
 //! state.
 
 use crate::ServeError;
-use qvsec::engine::CacheStatsSnapshot;
 use qvsec::session::SessionSnapshot;
 use qvsec_cq::ConjunctiveQuery;
 use qvsec_store::{StoreBackend, StoreOp};
@@ -35,9 +35,11 @@ use std::sync::{Arc, Mutex};
 pub const NS_JOURNAL: &str = "registry/journal";
 
 /// One journaled lifecycle event. Every event carries the tenant's full
-/// post-operation state and the registry/engine counters at append time,
-/// so the *last* event per tenant (and the last event overall) suffice to
-/// rehydrate.
+/// post-operation state and the registry's totals at append time, so the
+/// *last* event per tenant (and the last event overall) suffice to
+/// rehydrate. Decoding looks members up by name and ignores unknown ones,
+/// so records that still carry the engine counters earlier releases
+/// journaled decode unchanged.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JournalEvent {
     /// `open` | `publish` | `candidate` | `snapshot` | `restore` | `expire`.
@@ -63,9 +65,6 @@ pub struct JournalEvent {
     /// Registry-wide sessions expired, at append time.
     #[serde(default)]
     pub registry_expired: u64,
-    /// The engine's absolute cache counters at append time (baseline
-    /// included, so a restart-of-a-restart chains correctly).
-    pub engine_cache: CacheStatsSnapshot,
 }
 
 /// Per-tenant journal usage, surfaced through registry stats.
@@ -214,7 +213,6 @@ mod tests {
             tenant_requests: 1,
             registry_requests: 1,
             registry_expired: 0,
-            engine_cache: CacheStatsSnapshot::default(),
         }
     }
 

@@ -36,7 +36,7 @@ pub fn collect_metrics(
     snap.set_gauge("store.journal.records", stats.journal_records);
     snap.set_gauge("store.journal.bytes", stats.journal_bytes);
 
-    let cache = &stats.engine_cache;
+    let cache = registry.engine().cache_stats();
     snap.set_gauge("cache.crit.hits", cache.crit_cache_hits);
     snap.set_gauge("cache.crit.misses", cache.crit_cache_misses);
     snap.set_gauge("cache.space.hits", cache.space_cache_hits);

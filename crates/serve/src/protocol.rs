@@ -48,7 +48,8 @@
 //!
 //! `metrics` returns the unified snapshot — process-global counters, span
 //! histograms, and every legacy counter bag folded in as gauges (see
-//! [`crate::metrics::collect_metrics`]). `explain` takes a query in either
+//! [`crate::metrics::collect_metrics`]). It is the only op that carries
+//! cache or connection counters. `explain` takes a query in either
 //! spelling (`view` or `sql`, like `publish`) and reports, per resulting
 //! conjunctive query, its canonical form and which cache tier
 //! (`memory` | `store` | `uncached`) holds each compiled artifact — the
@@ -62,8 +63,8 @@
 //! Any request may additionally carry `"timing": true` to receive a
 //! `"timing"` member on its response — total handling nanos plus, when
 //! span tracing is enabled, the per-stage breakdown. Timing is off by
-//! default and its values are nondeterministic, so byte-comparing scripts
-//! strip the member (mirroring the `"server"` stats exception).
+//! default and is the only nondeterministic member any non-`metrics`
+//! response can carry.
 //!
 //! ## The envelope
 //!
@@ -105,12 +106,20 @@
 //! `publish`/`candidate` on a tenant with no session require a `secret`
 //! field (which opens one); established tenants omit it. `report` carries
 //! the full serialized [`qvsec::SessionReport`] for audits; `stats` carries
-//! a [`crate::registry::RegistryStats`] plus — when served over TCP — the
-//! [`crate::server::ServerStats`] connection counters under `"server"`.
-//! Responses carry no timestamps, so replaying a request script is
-//! byte-deterministic (the CI smoke job replays the committed two-tenant
-//! script twice and diffs; the process-local `"server"` counters are the
-//! one documented exception and are stripped before byte comparisons).
+//! a [`crate::registry::RegistryStats`].
+//!
+//! Audit and `stats` responses are a pure function of the request script:
+//! they carry no timestamps and no process counters, so replaying a script
+//! — over one connection or many, pipelined or not, across a restart over
+//! the same store — reproduces every byte (the CI smoke jobs replay the
+//! committed two-tenant script and `cmp` the streams).
+//!
+//! *v1 amendment.* Earlier v1 servers also sent engine cache counters —
+//! as `report.cache` on audits, as `stats.tenants[].cache` and as an
+//! engine-wide object in `stats` — and connection counters under a `stats`
+//! response's `"server"` member. Those members are gone; the same values
+//! are the `cache.*`, `kernel.*` and `serve.*` gauges of the `metrics` op.
+//! Responses still say `"v": 1`.
 
 use crate::registry::SessionRegistry;
 use crate::server::ServerCounters;
@@ -492,24 +501,11 @@ fn dispatch(
             "tenants".to_string(),
             Value::Int(registry.tenant_count() as i128),
         )])),
-        "stats" => {
-            let stats = registry.stats();
-            let mut fields = vec![(
-                "stats".to_string(),
-                serde_json::to_value(&stats).map_err(|e| ServeError::Parse(e.to_string()))?,
-            )];
-            // Connection counters only exist when serving over TCP; they
-            // are process-local (never journaled), so byte-comparing smoke
-            // scripts strip this member.
-            if let Some(counters) = counters {
-                fields.push((
-                    "server".to_string(),
-                    serde_json::to_value(&counters.snapshot())
-                        .map_err(|e| ServeError::Parse(e.to_string()))?,
-                ));
-            }
-            Ok(ok(fields))
-        }
+        "stats" => Ok(ok(vec![(
+            "stats".to_string(),
+            serde_json::to_value(&registry.stats())
+                .map_err(|e| ServeError::Parse(e.to_string()))?,
+        )])),
         "open" => {
             let tenant = require(&request.tenant, "tenant")?;
             let secret = parsed_secret
@@ -671,7 +667,7 @@ fn append_timing(
 /// Parses one request line and dispatches it, mapping every failure onto a
 /// structured `{"ok": false}` response (a malformed line never tears down
 /// the connection). `counters`, when given, surfaces the TCP front end's
-/// connection counters through the `stats`/`metrics` ops. Returns the
+/// connection counters through the `metrics` op. Returns the
 /// response, whether the request asked the server to shut down, and — when
 /// span tracing is enabled — the request's stage breakdown (the server's
 /// slow-query log feeds off it).
@@ -813,21 +809,32 @@ mod tests {
             responses[1].field("report").field("report").field("secure"),
             &Value::Bool(false)
         );
-        assert!(
-            responses[2]
-                .field("report")
-                .field("cache")
-                .field("crit_cache_hits")
-                .as_int()
-                .unwrap()
-                > 0,
-            "second tenant is served from the shared engine's warm caches"
-        );
         let stats = responses[6].field("stats");
         assert_eq!(stats.field("tenants").as_array().unwrap().len(), 2);
         assert_eq!(stats.field("requests_served").as_int(), Some(5));
-        // Embedded dispatch has no TCP front end, so no server counters.
+        // Counters live in the metrics plane only.
+        assert!(responses[2].field("report").field("cache").is_null());
         assert!(responses[6].field("server").is_null());
+        let Value::Object(members) = stats else {
+            panic!("stats is an object")
+        };
+        let names: Vec<&str> = members.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "tenants",
+                "shard_count",
+                "requests_served",
+                "sessions_expired",
+                "store_backend",
+                "journal_records",
+                "journal_bytes"
+            ]
+        );
+        assert!(
+            reg.engine().cache_stats().crit_cache_hits > 0,
+            "second tenant is served from the shared engine's warm caches"
+        );
     }
 
     #[test]
@@ -1105,12 +1112,12 @@ mod tests {
             .unwrap()
             .is_empty());
         // The probe is strictly read-only: repeating it moves no counter.
-        let before = reg.stats().engine_cache;
+        let before = reg.engine().cache_stats();
         for _ in 0..3 {
             handle_request(&reg, explain_line);
         }
         assert_eq!(
-            reg.stats().engine_cache,
+            reg.engine().cache_stats(),
             before,
             "explain probes count nothing"
         );
@@ -1165,7 +1172,7 @@ mod tests {
         );
         assert_eq!(
             gauges.field("cache.crit.hits").as_int(),
-            Some(reg.stats().engine_cache.crit_cache_hits as i128)
+            Some(reg.engine().cache_stats().crit_cache_hits as i128)
         );
         // The process-global request counter has seen this test's traffic.
         assert!(

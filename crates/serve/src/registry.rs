@@ -250,12 +250,12 @@ impl SessionRegistry {
     ///
     /// Replay restores, per tenant, the state after its last completed
     /// request — session prefix, labelled snapshots, request count — plus
-    /// the registry-wide counters and the engine's cache-statistics
-    /// baseline, so a SIGKILLed process restarted over the same store
-    /// answers the remainder of a request script byte-identically to a
-    /// process that never died. The engine should have been built with the
-    /// same store (see `AuditEngineBuilder::store`) so cache artifacts
-    /// rehydrate alongside tenant state.
+    /// the registry-wide request and expiry totals, so a SIGKILLed process
+    /// restarted over the same store answers the remainder of a request
+    /// script byte-identically to a process that never died. The engine
+    /// should have been built with the same store (see
+    /// `AuditEngineBuilder::store`) so cache artifacts rehydrate alongside
+    /// tenant state.
     pub fn with_store(
         engine: Arc<AuditEngine>,
         config: RegistryConfig,
@@ -325,7 +325,6 @@ impl SessionRegistry {
             registry
                 .expired
                 .store(last.registry_expired, Ordering::Relaxed);
-            registry.engine.set_stats_baseline(last.engine_cache);
         }
         registry.demoted = Mutex::new(demoted);
         registry.journal = Some(Journal::new(store, &replayed));
@@ -561,7 +560,6 @@ impl SessionRegistry {
                 tenant_requests: t.requests,
                 registry_requests: self.requests.load(Ordering::Relaxed),
                 registry_expired: self.expired.load(Ordering::Relaxed),
-                engine_cache: self.engine.cache_stats(),
             })
             .map(|_| ())
     }
@@ -682,7 +680,6 @@ impl SessionRegistry {
             tenant_requests: t.requests,
             registry_requests: self.requests.load(Ordering::Relaxed),
             registry_expired: self.expired.load(Ordering::Relaxed),
-            engine_cache: self.engine.cache_stats(),
         });
         if let Ok(seq) = appended {
             self.demoted
@@ -752,7 +749,9 @@ impl SessionRegistry {
     }
 
     /// A deterministic snapshot of the registry: per-tenant accounting
-    /// (sorted by tenant id) next to the engine's extended cache counters.
+    /// (sorted by tenant id) and registry-wide totals. Engine cache
+    /// counters are not part of it: read them from
+    /// [`AuditEngine::cache_stats`] (the metrics plane).
     /// With a store configured, each tenant also reports its journal
     /// footprint, and demoted tenants — state in the store, nothing
     /// resident — appear alongside live ones with `demoted: true`.
@@ -775,7 +774,6 @@ impl SessionRegistry {
                     snapshots_held: t.snapshots.len(),
                     requests: t.requests,
                     approx_bytes: t.bytes,
-                    cache: *t.session.cumulative_cache(),
                     store_records: u.records,
                     store_bytes: u.bytes,
                     demoted: false,
@@ -807,7 +805,6 @@ impl SessionRegistry {
                 snapshots_held: event.snapshots.as_ref().map(|s| s.len()).unwrap_or(0),
                 requests: event.tenant_requests,
                 approx_bytes: 0,
-                cache: *event.state.cumulative_cache(),
                 store_records: u.records,
                 store_bytes: u.bytes,
                 demoted: true,
@@ -824,7 +821,6 @@ impl SessionRegistry {
             shard_count: self.shards.len(),
             requests_served: self.requests.load(Ordering::Relaxed),
             sessions_expired: self.expired.load(Ordering::Relaxed),
-            engine_cache: self.engine.cache_stats(),
             store_backend: self
                 .journal
                 .as_ref()
@@ -849,8 +845,6 @@ pub struct TenantStats {
     /// Approximate bytes of published-view and snapshot state the tenant
     /// pins in the registry (zero while demoted — nothing is resident).
     pub approx_bytes: u64,
-    /// The tenant's session-cumulative cache-reuse counters.
-    pub cache: qvsec::engine::CacheStatsSnapshot,
     /// Journal records this tenant has accrued in the durable store.
     #[serde(default)]
     pub store_records: u64,
@@ -874,9 +868,6 @@ pub struct RegistryStats {
     pub requests_served: u64,
     /// Sessions removed by idle expiry.
     pub sessions_expired: u64,
-    /// The shared engine's extended cache counters (hits, misses,
-    /// evictions, evicted and resident bytes).
-    pub engine_cache: qvsec::engine::CacheStatsSnapshot,
     /// The durable store's backend name, when one is configured.
     #[serde(default)]
     pub store_backend: Option<String>,
@@ -917,15 +908,13 @@ mod tests {
         assert_eq!(r1.report.secure, Some(false));
         // A second tenant opens its own session; the engine's caches are
         // already warm from the first.
+        let before = reg.engine().cache_stats();
         let r2 = reg
             .publish("zoe", Some(&secret), Some("bob".into()), bob)
             .unwrap();
         assert_eq!(r2.step, 1);
-        assert!(
-            r2.cache.crit_cache_hits > 0,
-            "shared artifacts: {:?}",
-            r2.cache
-        );
+        let cache = reg.engine().cache_stats().delta_since(&before);
+        assert!(cache.crit_cache_hits > 0, "shared artifacts: {cache:?}");
         // Established tenants need no secret.
         let r3 = reg.publish("alice", None, None, carol).unwrap();
         assert_eq!(r3.step, 2);
@@ -987,9 +976,13 @@ mod tests {
             Err(ServeError::UnknownSnapshot(_))
         ));
         // Replaying after the restore reaches the same cumulative verdict.
+        let before = reg.engine().cache_stats();
         let replay = reg.publish("t", None, None, v2).unwrap();
         assert_eq!(replay.step, 2);
-        assert!(replay.cache.any_reuse(), "replay is served warm");
+        assert!(
+            reg.engine().cache_stats().delta_since(&before).any_reuse(),
+            "replay is served warm"
+        );
     }
 
     #[test]
@@ -1003,6 +996,7 @@ mod tests {
         assert_eq!(reg.tenant_count(), 0);
         assert_eq!(reg.stats().sessions_expired, 1);
         // The tenant's next request reopens at step 1, warm.
+        let before = reg.engine().cache_stats();
         let again = reg.publish("t", Some(&secret), None, view).unwrap();
         assert_eq!(again.step, 1);
         assert_eq!(
@@ -1010,7 +1004,10 @@ mod tests {
             serde_json::to_string(&first.report).unwrap(),
             "reopened session reproduces the same verdict"
         );
-        assert!(again.cache.any_reuse(), "engine caches survived expiry");
+        assert!(
+            reg.engine().cache_stats().delta_since(&before).any_reuse(),
+            "engine caches survived expiry"
+        );
     }
 
     #[test]
@@ -1157,6 +1154,141 @@ mod tests {
         assert_eq!(r.step, 2);
         assert!(!reg2.stats().tenants[0].demoted);
         assert_eq!(reg2.restore("alice", "base").unwrap(), 1);
+    }
+
+    /// Two journal records exactly as the previous release wrote them: an
+    /// `expire` carrying the tenant's labelled snapshots, then a `publish`.
+    /// Both still carry the engine's cache counters, per event and inside
+    /// every session snapshot.
+    const PARENT_FORMAT_JOURNAL: [&str; 2] = [
+        // expire (bob, with its labelled snapshot)
+        concat!(
+            r#"{"op":"expire","tenant":"bob","secret":{"name":"S","head":[{"Var":0},{"Var":1}],"#,
+            r#""atoms":[{"relation":0,"terms":[{"Var":0},{"Var":2},{"Var":1}]}],"comparisons":[],"#,
+            r#""var_names":["n","p","d"]},"state":{"published":[{"name":"V1","query":{"name":"V1","#,
+            r#""head":[{"Var":0},{"Var":1}],"atoms":[{"relation":0,"terms":[{"Var":0},{"Var":1},"#,
+            r#"{"Var":2}]}],"comparisons":[],"var_names":["n","d","p"]}}],"steps_taken":1,"#,
+            r#""prev_secure":false,"prev_max_leak":null,"cumulative_cache":{"crit_cache_hits":0,"#,
+            r#""crit_cache_misses":2,"space_cache_hits":0,"space_cache_misses":2,"#,
+            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
+            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
+            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
+            r#""resident_bytes":11112}},"snapshot_label":null,"#,
+            r#""snapshots":{"base":{"published":[{"name":"V1","query":{"name":"V1","#,
+            r#""head":[{"Var":0},{"Var":1}],"atoms":[{"relation":0,"terms":[{"Var":0},{"Var":1},"#,
+            r#"{"Var":2}]}],"comparisons":[],"var_names":["n","d","p"]}}],"steps_taken":1,"#,
+            r#""prev_secure":false,"prev_max_leak":null,"cumulative_cache":{"crit_cache_hits":0,"#,
+            r#""crit_cache_misses":2,"space_cache_hits":0,"space_cache_misses":2,"#,
+            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
+            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
+            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
+            r#""resident_bytes":11112}}},"tenant_requests":2,"registry_requests":2,"#,
+            r#""registry_expired":1,"engine_cache":{"crit_cache_hits":0,"crit_cache_misses":2,"#,
+            r#""space_cache_hits":0,"space_cache_misses":2,"class_verdicts_reused":0,"#,
+            r#""compile_cache_hits":0,"queries_compiled":0,"mc_samples_drawn":0,"#,
+            r#""mc_samples_reused":0,"pool_columns_built":0,"pool_column_hits":0,"#,
+            r#""kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"resident_bytes":11112}}"#,
+        ),
+        // publish (alice)
+        concat!(
+            r#"{"op":"publish","tenant":"alice","secret":{"name":"S","head":[{"Var":0},{"Var":1}],"#,
+            r#""atoms":[{"relation":0,"terms":[{"Var":0},{"Var":2},{"Var":1}]}],"comparisons":[],"#,
+            r#""var_names":["n","p","d"]},"state":{"published":[{"name":"V1","query":{"name":"V1","#,
+            r#""head":[{"Var":0},{"Var":1}],"atoms":[{"relation":0,"terms":[{"Var":0},{"Var":1},"#,
+            r#"{"Var":2}]}],"comparisons":[],"var_names":["n","d","p"]}}],"steps_taken":1,"#,
+            r#""prev_secure":false,"prev_max_leak":null,"cumulative_cache":{"crit_cache_hits":2,"#,
+            r#""crit_cache_misses":0,"space_cache_hits":2,"space_cache_misses":0,"#,
+            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
+            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
+            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
+            r#""resident_bytes":0}},"snapshot_label":null,"snapshots":null,"tenant_requests":1,"#,
+            r#""registry_requests":3,"registry_expired":1,"engine_cache":{"crit_cache_hits":2,"#,
+            r#""crit_cache_misses":2,"space_cache_hits":2,"space_cache_misses":2,"#,
+            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
+            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
+            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
+            r#""resident_bytes":11112}}"#,
+        ),
+    ];
+
+    fn seeded_store(records: &[String]) -> Arc<dyn StoreBackend> {
+        let store: Arc<dyn StoreBackend> = Arc::new(qvsec_store::MemStore::new());
+        let ops = records
+            .iter()
+            .enumerate()
+            .map(|(seq, r)| qvsec_store::StoreOp::put(format!("{seq:016x}"), r.as_bytes().to_vec()))
+            .collect();
+        store.append_batch(NS_JOURNAL, ops).unwrap();
+        store
+    }
+
+    #[test]
+    fn journals_in_the_previous_format_still_replay() {
+        use crate::protocol::handle_request;
+        use serde_json::Value;
+
+        let old: Vec<String> = PARENT_FORMAT_JOURNAL
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
+        // The same events in today's format: decoded, then re-encoded.
+        let new: Vec<String> = old
+            .iter()
+            .map(|r| serde_json::to_string(&decode_event("old", r.as_bytes()).unwrap()).unwrap())
+            .collect();
+        for (o, n) in old.iter().zip(&new) {
+            assert!(n.len() < o.len(), "today's records carry no counters");
+        }
+        let old_reg = durable_registry(&seeded_store(&old));
+        let new_reg = durable_registry(&seeded_store(&new));
+        for reg in [&old_reg, &new_reg] {
+            let stats = reg.stats();
+            assert_eq!(stats.requests_served, 3);
+            assert_eq!(stats.sessions_expired, 1);
+            let [alice, bob] = &stats.tenants[..] else {
+                panic!("two tenants rehydrate: {stats:?}")
+            };
+            assert_eq!(
+                (alice.tenant.as_str(), alice.views_published, alice.requests),
+                ("alice", 1, 1)
+            );
+            assert!(!alice.demoted);
+            assert_eq!(
+                (
+                    bob.tenant.as_str(),
+                    bob.views_published,
+                    bob.snapshots_held,
+                    bob.requests
+                ),
+                ("bob", 1, 1, 2)
+            );
+            assert!(bob.demoted);
+        }
+        // What follows answers byte for byte alike on both: a candidate on
+        // the live tenant, one that revives the demoted tenant, and a
+        // restore of the labelled snapshot the expire record carried.
+        let script = [
+            r#"{"op": "candidate", "tenant": "alice", "view": "V2(d, p) :- Employee(n, d, p)"}"#,
+            r#"{"op": "candidate", "tenant": "bob", "view": "V2(d, p) :- Employee(n, d, p)"}"#,
+            r#"{"op": "restore", "tenant": "bob", "label": "base"}"#,
+        ];
+        for line in script {
+            let (a, _) = handle_request(&old_reg, line);
+            let (b, _) = handle_request(&new_reg, line);
+            assert_eq!(a.field("ok"), &Value::Bool(true), "{a:?}");
+            assert_eq!(
+                serde_json::to_string(&a).unwrap(),
+                serde_json::to_string(&b).unwrap(),
+                "{line}"
+            );
+            if !a.field("report").is_null() {
+                assert_eq!(
+                    a.field("report").field("step").as_int(),
+                    Some(2),
+                    "the published view rehydrated: {line}"
+                );
+            }
+        }
     }
 
     #[test]

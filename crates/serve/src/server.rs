@@ -100,9 +100,10 @@ impl Default for ServerConfig {
 }
 
 /// Live connection counters, shared by the accept loop and every
-/// connection thread. Surfaced through the `stats` op (as a
-/// [`ServerStats`] snapshot under `"server"`); process-local by design —
-/// never journaled, so a restart zeroes them.
+/// connection thread. Surfaced only through the metrics plane (the
+/// `serve.*` gauges of the `metrics` op and the Prometheus endpoint) and
+/// [`ServerHandle::stats`]; process-local by design — never journaled, so a
+/// restart zeroes them.
 #[derive(Debug, Default)]
 pub struct ServerCounters {
     accepted: AtomicU64,
@@ -117,8 +118,7 @@ pub struct ServerCounters {
     inflight_peak: AtomicU64,
 }
 
-/// A point-in-time snapshot of [`ServerCounters`] (the `"server"` member of
-/// a `stats` response).
+/// A point-in-time snapshot of [`ServerCounters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Connections admitted past the accept gate.
@@ -895,22 +895,6 @@ mod tests {
         (handle, join)
     }
 
-    /// Drops every `cache` member: interleaving-dependent counters are the
-    /// one documented nondeterminism between warm and cold drives.
-    fn strip_cache(value: &Value) -> Value {
-        match value {
-            Value::Object(fields) => Value::Object(
-                fields
-                    .iter()
-                    .filter(|(key, _)| key != "cache")
-                    .map(|(key, inner)| (key.clone(), strip_cache(inner)))
-                    .collect(),
-            ),
-            Value::Array(items) => Value::Array(items.iter().map(strip_cache).collect()),
-            other => other.clone(),
-        }
-    }
-
     #[test]
     fn serves_a_script_over_tcp_and_shuts_down() {
         let (handle, join) = spawn_server(2);
@@ -928,12 +912,14 @@ mod tests {
         for response in &first {
             assert!(response.starts_with(r#"{"ok":true,"v":1"#), "{response}");
         }
-        // Over TCP, `stats` surfaces the connection counters.
-        assert!(
-            first[2].contains(r#""server":{"accepted":"#),
-            "{}",
-            first[2]
-        );
+        // Connection counters stay in the metrics plane: `stats` is the
+        // same over TCP as embedded, and the `metrics` op carries them.
+        assert!(!first[2].contains(r#""server""#), "{}", first[2]);
+        let metrics = request_lines(&addr, &[r#"{"op": "metrics"}"#.to_string()]).unwrap();
+        let gauges = serde_json::parse(&metrics[0]).unwrap();
+        let gauges = gauges.field("metrics").field("gauges");
+        assert_eq!(gauges.field("serve.connections.accepted").as_int(), Some(2));
+        assert_eq!(gauges.field("serve.responses_written").as_int(), Some(3));
         // A second connection sees the same tenant state.
         let ping = request_lines(&addr, &[r#"{"op": "ping"}"#.to_string()]).unwrap();
         assert!(ping[0].contains(r#""tenants":1"#), "{}", ping[0]);
@@ -942,8 +928,8 @@ mod tests {
         assert!(bye[0].contains(r#""shutdown":true"#));
         join.join().unwrap().unwrap();
         let stats = handle.stats();
-        assert_eq!(stats.accepted, 3);
-        assert_eq!(stats.responses_written, 5);
+        assert_eq!(stats.accepted, 4);
+        assert_eq!(stats.responses_written, 6);
         assert_eq!(stats.queue_depth, 0, "the gauge must balance");
         assert!(stats.inflight_peak >= 1);
     }
@@ -1059,8 +1045,8 @@ mod tests {
             pipelined[4]
         );
         // And the stream matches a synchronous drive of the same script on
-        // a fresh tenant (tenant-renamed so state does not overlap; cache
-        // counters stripped — the second drive runs warm by design).
+        // a fresh tenant byte for byte (tenant-renamed so state does not
+        // overlap; the second drive runs warm, which no response shows).
         let renamed: Vec<String> = script
             .iter()
             .map(|l| l.replace(r#""p""#, r#""q""#))
@@ -1070,11 +1056,7 @@ mod tests {
             let a = a
                 .replace(r#""tenant":"p""#, r#""tenant":"q""#)
                 .replace("tenant:p", "tenant:q");
-            assert_eq!(
-                strip_cache(&serde_json::parse(&a).unwrap()),
-                strip_cache(&serde_json::parse(b).unwrap()),
-                "pipelining changed a response"
-            );
+            assert_eq!(&a, b, "pipelining changed a response");
         }
         handle.shutdown();
         join.join().unwrap().unwrap();

@@ -200,23 +200,18 @@ fn check_metrics_monotone_and_sum_consistent(steps: &[Step]) {
     // The merged gauges equal the legacy bags they unify, read at the
     // same quiesced moment.
     let stats = registry.stats();
+    let cache = registry.engine().cache_stats();
     let snap = collect_metrics(&registry, None);
     prop_assert_eq!(
         snap.gauges["registry.requests_served"],
         stats.requests_served
     );
     prop_assert_eq!(snap.gauges["registry.tenants"], stats.tenants.len() as u64);
-    prop_assert_eq!(
-        snap.gauges["cache.crit.hits"],
-        stats.engine_cache.crit_cache_hits
-    );
-    prop_assert_eq!(
-        snap.gauges["cache.crit.misses"],
-        stats.engine_cache.crit_cache_misses
-    );
+    prop_assert_eq!(snap.gauges["cache.crit.hits"], cache.crit_cache_hits);
+    prop_assert_eq!(snap.gauges["cache.crit.misses"], cache.crit_cache_misses);
     prop_assert_eq!(
         snap.gauges["kernel.mc.samples_drawn"],
-        stats.engine_cache.mc_samples_drawn
+        cache.mc_samples_drawn
     );
     prop_assert_eq!(snap.gauges["store.journal.records"], stats.journal_records);
 }

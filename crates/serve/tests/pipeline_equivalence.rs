@@ -8,10 +8,8 @@
 //! interleave on one shared engine, and the accept loop, in-flight queues
 //! and keep-alive bookkeeping all sit between the socket and the registry.
 //! None of that machinery may reorder, drop, duplicate or rewrite a
-//! response. The per-report `cache` counters are the one documented
-//! nondeterminism (they bracket engine-global cache traffic, which depends
-//! on interleaving), so they are stripped before comparison — everything
-//! else must match byte for byte.
+//! response: the raw response lines must match byte for byte. Cache
+//! traffic does depend on the interleaving, but no response carries it.
 //!
 //! A second property covers mid-stream connection drops: clients that
 //! write a prefix of their script and vanish without reading must not
@@ -25,7 +23,6 @@ use qvsec_data::{Domain, Schema};
 use qvsec_serve::{
     request_lines, request_lines_pipelined, Server, ServerConfig, ServerHandle, SessionRegistry,
 };
-use serde_json::Value;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -113,32 +110,6 @@ fn wire_script(tenant: &str, steps: &[Step]) -> Vec<String> {
     lines
 }
 
-/// Drops every `cache` member: interleaving-dependent counters are the one
-/// documented nondeterminism between differently-interleaved drives.
-fn strip_cache(value: &Value) -> Value {
-    match value {
-        Value::Object(members) => Value::Object(
-            members
-                .iter()
-                .filter(|(name, _)| name != "cache")
-                .map(|(name, member)| (name.clone(), strip_cache(member)))
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.iter().map(strip_cache).collect()),
-        other => other.clone(),
-    }
-}
-
-fn comparable(lines: &[String]) -> Vec<String> {
-    lines
-        .iter()
-        .map(|line| {
-            let value = serde_json::parse(line).expect("responses are JSON");
-            serde_json::to_string(&strip_cache(&value)).unwrap()
-        })
-        .collect()
-}
-
 /// Synchronous ground truth: a fresh server answers every tenant's script
 /// one request at a time, tenants in order.
 fn sync_baseline(scripts: &[Vec<String>]) -> Vec<Vec<String>> {
@@ -146,15 +117,15 @@ fn sync_baseline(scripts: &[Vec<String>]) -> Vec<Vec<String>> {
     let addr = handle.addr().to_string();
     let baseline = scripts
         .iter()
-        .map(|script| comparable(&request_lines(&addr, script).unwrap()))
+        .map(|script| request_lines(&addr, script).unwrap())
         .collect();
     handle.shutdown();
     join.join().unwrap().unwrap();
     baseline
 }
 
-/// Pipelined, concurrent drives are byte-identical (cache counters
-/// stripped) to the synchronous baseline at 1, 2 and 4 client threads.
+/// Pipelined, concurrent drives are byte-identical to the synchronous
+/// baseline at 1, 2 and 4 client threads.
 /// Plain function so the `proptest!` bodies stay macro-cheap.
 fn check_pipelined_matches_sync(steps: &[Vec<Step>], inflight: usize) {
     let scripts: Vec<Vec<String>> = steps
@@ -199,7 +170,7 @@ fn check_pipelined_matches_sync(steps: &[Vec<Step>], inflight: usize) {
 
         for (tenant, responses) in streams {
             prop_assert_eq!(
-                &comparable(&responses),
+                &responses,
                 &baseline[tenant],
                 "tenant {} diverged at {} clients (inflight {})",
                 tenant,
@@ -259,7 +230,7 @@ fn check_drops_leave_survivors_intact(steps: &[Vec<Step>], cut: usize) {
 
     for (tenant, responses) in survivors {
         prop_assert_eq!(
-            &comparable(&responses),
+            &responses,
             &baseline[tenant],
             "surviving tenant {} diverged past {} dropped connections",
             tenant,

@@ -21,7 +21,10 @@
 //! a single record holding its live entries (written to a temp file,
 //! synced, then renamed over the original — the same atomic-replace
 //! discipline as the KV shim), so deletes and overwrites do not pin disk
-//! forever.
+//! forever. The next compaction waits until the file has also doubled
+//! since the last rewrite (or since it was loaded), so a live set past the
+//! threshold — an append-only journal, say — is rewritten O(log n) times,
+//! not on every append.
 
 use crate::{encode_component, fnv1a_32, Result, StoreBackend, StoreError, StoreOp};
 use std::collections::{BTreeMap, HashMap};
@@ -40,6 +43,9 @@ struct NsState {
     map: BTreeMap<String, Vec<u8>>,
     file: File,
     file_bytes: u64,
+    /// File size the last compaction wrote (the replayed size on load);
+    /// the next compaction waits for twice this.
+    compacted_bytes: u64,
 }
 
 /// Append-only-file store with checksummed records and tail-truncation
@@ -196,6 +202,7 @@ impl LogStore {
                     map,
                     file,
                     file_bytes: valid_end,
+                    compacted_bytes: valid_end,
                 },
             );
         }
@@ -227,6 +234,7 @@ impl LogStore {
             .open(&path)
             .map_err(|e| StoreError::Io(format!("reopen {}: {e}", path.display())))?;
         state.file_bytes = frame.len() as u64;
+        state.compacted_bytes = state.file_bytes;
         Ok(())
     }
 }
@@ -292,7 +300,7 @@ impl StoreBackend for LogStore {
                 }
             }
         }
-        if threshold > 0 && state.file_bytes > threshold {
+        if threshold > 0 && state.file_bytes > threshold.max(2 * state.compacted_bytes) {
             self.compact(ns, state)?;
         }
         Ok(())
@@ -451,6 +459,41 @@ mod tests {
         drop(store);
         let store = reopen(&dir);
         assert_eq!(store.get("ns", "hot").unwrap(), Some(b"value-63".to_vec()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_live_set_past_the_threshold_is_rewritten_logarithmically_often() {
+        // Distinct keys leave no garbage, so once the live set passes the
+        // threshold a compaction reclaims nothing. Rewrites must then wait
+        // for the file to double instead of firing on every append.
+        let dir = scratch_dir("log-no-garbage");
+        let store = LogStore::open(dir.clone(), 256).unwrap();
+        let path = dir.join("ns.log");
+        let appends = 400;
+        let mut rewrites = 0;
+        let mut size = 0;
+        for i in 0..appends {
+            let ops = vec![StoreOp::put(format!("key-{i:04}"), b"value".to_vec())];
+            let frame = frame_record(&ops).len() as u64;
+            store.append_batch("ns", ops).unwrap();
+            let now = std::fs::metadata(&path).unwrap().len();
+            // An append grows the file by its frame; a rewrite folds every
+            // record into one, dropping the other frames' headers.
+            if now != size + frame {
+                assert!(now < size + frame, "append {i}: {size} + {frame} -> {now}");
+                rewrites += 1;
+            }
+            size = now;
+        }
+        assert!(rewrites >= 1, "the threshold was crossed");
+        assert!(
+            rewrites <= 8,
+            "{rewrites} rewrites for {appends} appends of distinct keys"
+        );
+        drop(store);
+        let store = reopen(&dir);
+        assert_eq!(store.scan("ns").unwrap().len(), appends);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -82,7 +82,7 @@ pub fn collusion_audit(
 /// cumulative verdict equals the [`collusion_audit`] verdict of the
 /// coalition `{views[0..=k]}` (Theorem 4.5 closure under collusion), and
 /// every step after the first is served warm from the engine's compiled
-/// artifacts — the report's cache counters say exactly how warm.
+/// artifacts.
 pub fn session_publication_audit(
     secret: &ConjunctiveQuery,
     views: &[(String, ConjunctiveQuery)],
@@ -235,10 +235,6 @@ mod tests {
                 members
             );
         }
-        assert!(
-            steps[1].cache.crit_cache_hits > 0 && steps[2].cache.crit_cache_hits > 0,
-            "warm steps reuse crit sets"
-        );
     }
 
     #[test]
@@ -279,8 +275,6 @@ mod tests {
                 );
             }
         }
-        // Tenants after the first ride the shared engine's warm caches.
-        assert!(tenants[1].1[0].cache.any_reuse());
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn audit_employee() {
     // The paper's §6 operational question: the HR department publishes the
     // Bob projection first, then asks whether it is safe to ALSO publish
     // Carol's. A session answers each marginal question over the engine's
-    // warm compiled artifacts and reports how much was reused.
+    // warm compiled artifacts.
     let schema = employee_schema();
     let (secret, views, domain) = intro_collusion();
     let named: Vec<(String, qvsec_cq::ConjunctiveQuery)> = views
@@ -92,12 +92,6 @@ fn audit_employee() {
             } else {
                 ""
             }
-        );
-        println!(
-            "         cache: {} crit hits, {} class verdicts reused, {} misses",
-            step.cache.crit_cache_hits,
-            step.cache.class_verdicts_reused,
-            step.cache.crit_cache_misses
         );
     }
     println!();

@@ -20,7 +20,8 @@ use qvsec_data::{Dictionary, Domain, Schema, TupleSpace};
 use qvsec_prob::lineage::support_space;
 
 /// The baseline (no prior knowledge) verdict, served by an [`AuditEngine`]
-/// at exact depth.
+/// at exact depth. The engine refuses schemas that declare keys, so a keyed
+/// example passes its schema without them.
 fn baseline(
     secret: &ConjunctiveQuery,
     views: &ViewSet,
@@ -44,14 +45,15 @@ fn main() {
 
 fn application_1_and_2() {
     println!("=== Applications 1 & 2: key constraints can destroy security ===\n");
-    let mut schema = Schema::new();
-    let r = schema.add_relation("R", &["key", "value"]);
+    let mut plain_schema = Schema::new();
+    let r = plain_schema.add_relation("R", &["key", "value"]);
+    let mut schema = plain_schema.clone();
     schema.add_key(r, &[0]).unwrap();
     let mut domain = Domain::with_constants(["a", "b", "c"]);
     let s = parse_query("S() :- R('a', 'b')", &schema, &mut domain).unwrap();
     let v = parse_query("V() :- R('a', 'c')", &schema, &mut domain).unwrap();
 
-    let plain = baseline(&s, &ViewSet::single(v.clone()), &schema, &domain);
+    let plain = baseline(&s, &ViewSet::single(v.clone()), &plain_schema, &domain);
     println!("  without prior knowledge : {}", plain.summary());
 
     let space = support_space(&[&s, &v], &domain, 1 << 10).unwrap();

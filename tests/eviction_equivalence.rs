@@ -131,13 +131,9 @@ proptest! {
             let a = bounded_session.publish(view.clone()).unwrap();
             let b = unbounded_session.publish(view.clone()).unwrap();
             prop_assert_eq!(
-                serde_json::to_string(&a.report).unwrap(),
-                serde_json::to_string(&b.report).unwrap(),
-                "budget {}: session verdict diverged at step {}", budget, a.step
-            );
-            prop_assert_eq!(
-                serde_json::to_string(&a.marginal).unwrap(),
-                serde_json::to_string(&b.marginal).unwrap()
+                serde_json::to_string(&a).unwrap(),
+                serde_json::to_string(&b).unwrap(),
+                "budget {}: session report diverged at step {}", budget, a.step
             );
         }
     }
@@ -194,13 +190,9 @@ fn restored_sessions_rederive_evicted_artifacts_transparently() {
     let replayed = session.publish(v2.clone()).unwrap();
     let expected = baseline.publish(v2).unwrap();
     assert_eq!(
-        serde_json::to_string(&replayed.report).unwrap(),
-        serde_json::to_string(&expected.report).unwrap(),
+        serde_json::to_string(&replayed).unwrap(),
+        serde_json::to_string(&expected).unwrap(),
         "restored session diverged after eviction"
-    );
-    assert_eq!(
-        serde_json::to_string(&replayed.marginal).unwrap(),
-        serde_json::to_string(&expected.marginal).unwrap()
     );
     // And the step-1 verdict is still reproducible from scratch.
     let re_audit = bounded

@@ -3,8 +3,8 @@
 //! A durable `SessionRegistry` is an *availability layer*: killing the
 //! process after any prefix of a request script and restarting it over the
 //! same store must answer the remainder of the script byte-identically to
-//! a process that never died — verdicts, cache counters, and registry
-//! stats included. These properties pin that down on randomly generated
+//! a process that never died — verdicts and registry stats included, raw
+//! response bytes compared. These properties pin that down on randomly generated
 //! publish/candidate/snapshot/restore scripts (kill-and-rehydrate at
 //! every prefix), repeat the exercise against the on-disk log store, and
 //! check that a torn final journal record (a crash mid-append) recovers

@@ -4,8 +4,7 @@
 //! must be byte-identical to a fresh engine auditing the same published
 //! prefix from scratch. These properties pin that down on randomly
 //! generated view sequences, together with the snapshot/restore round-trip
-//! (cache counters included) and the correctness of cross-domain-size
-//! class-verdict reuse.
+//! and the correctness of cross-domain-size class-verdict reuse.
 
 use proptest::prelude::*;
 use qvsec::critical::critical_tuples;
@@ -106,8 +105,8 @@ proptest! {
     }
 
     // snapshot() → mutate → restore() → snapshot() reproduces the captured
-    // state exactly, session-cumulative cache counters included, and the
-    // replayed steps reach the same cumulative verdicts.
+    // state exactly, and the replayed steps reach the same cumulative
+    // verdicts.
     #[test]
     fn snapshot_restore_round_trips_and_replays_identically(
         prefix in proptest::collection::vec(view_text(), 1..3),
@@ -137,17 +136,17 @@ proptest! {
         prop_assert_eq!(
             serde_json::to_string(&session.snapshot()).unwrap(),
             serde_json::to_string(&snap).unwrap(),
-            "restore must round-trip the snapshot, cache counters included"
+            "restore must round-trip the snapshot"
         );
 
-        // Replaying the speculative branch reaches identical cumulative
-        // reports (the engine's artifact caches are append-only, so the
-        // replay is warm — but transparently so).
+        // Replaying the speculative branch reproduces every step report
+        // byte for byte (the engine's artifact caches are append-only, so
+        // the replay is warm — but transparently so).
         for (v, earlier) in speculative.iter().zip(&speculative_reports) {
             let replay = session.publish(v.clone()).unwrap();
             prop_assert_eq!(
-                serde_json::to_string(&replay.report).unwrap(),
-                serde_json::to_string(&earlier.report).unwrap()
+                serde_json::to_string(&replay).unwrap(),
+                serde_json::to_string(earlier).unwrap()
             );
         }
     }
