@@ -292,7 +292,7 @@ fn build_schema_domain(
     Ok((schema, domain))
 }
 
-/// Opens the durable store a spec (or `--store` flag) selects.
+/// Opens the durable store a serve spec (or `serve --store`) selects.
 fn open_spec_store(
     config: &qvsec_store::StoreConfig,
 ) -> Result<std::sync::Arc<dyn qvsec_store::StoreBackend>, CliError> {
@@ -301,19 +301,15 @@ fn open_spec_store(
 
 /// Builds an engine bound to `schema`/`domain` with the spec's defaults and
 /// (when declared) a uniform dictionary over the support space of
-/// `queries`. With a `store`, compiled artifacts write through to it.
+/// `queries`.
 fn build_engine(
     schema: Schema,
     domain: &Domain,
     defaults: &DefaultsSpec,
     dictionary: &Option<DictionarySpec>,
     queries: &[&ConjunctiveQuery],
-    store: Option<std::sync::Arc<dyn qvsec_store::StoreBackend>>,
 ) -> Result<AuditEngine, CliError> {
     let mut builder = AuditEngine::builder(schema, domain.clone());
-    if let Some(store) = store {
-        builder = builder.store(store);
-    }
     if let Some(depth) = &defaults.depth {
         builder = builder.default_depth(parse_depth(depth)?);
     }
@@ -381,7 +377,7 @@ pub fn prepare(spec: &AuditSpec) -> Result<PreparedAudit, CliError> {
         .iter()
         .flat_map(|(s, vs)| std::iter::once(s).chain(vs.iter()))
         .collect();
-    let engine = build_engine(schema, &domain, &defaults, &spec.dictionary, &queries, None)?;
+    let engine = build_engine(schema, &domain, &defaults, &spec.dictionary, &queries)?;
 
     let mut requests = Vec::new();
     for (case, (secret, views)) in spec.audits.iter().zip(parsed) {
@@ -468,16 +464,6 @@ pub fn parse_session_spec(text: &str) -> Result<SessionSpec, CliError> {
 /// serialized [`qvsec::SessionReport`] for `publish`/`candidate` steps,
 /// `{"snapshot": label}` / `{"restored": label}` markers otherwise.
 pub fn run_session_spec(text: &str) -> Result<serde_json::Value, CliError> {
-    run_session_spec_with_store(text, None)
-}
-
-/// [`run_session_spec`] with an optional durable store (the CLI's
-/// `--store <PATH>` flag): compiled artifacts rehydrate from it before the
-/// replay and write through to it, so a repeated run starts warm.
-pub fn run_session_spec_with_store(
-    text: &str,
-    store: Option<&qvsec_store::StoreConfig>,
-) -> Result<serde_json::Value, CliError> {
     let spec = parse_session_spec(text)?;
     let (schema, mut domain) = build_schema_domain(&spec.relations, &spec.constants)?;
     let defaults = spec.defaults.clone().unwrap_or_default();
@@ -516,20 +502,13 @@ pub fn run_session_spec_with_store(
     let queries: Vec<&ConjunctiveQuery> = std::iter::once(&secret)
         .chain(step_views.iter().flatten())
         .collect();
-    let backend = store.map(open_spec_store).transpose()?;
     let engine = Arc::new(build_engine(
         schema,
         &domain,
         &defaults,
         &spec.dictionary,
         &queries,
-        backend,
     )?);
-    if store.is_some() {
-        engine
-            .rehydrate()
-            .map_err(|e| CliError::Audit(e.to_string()))?;
-    }
 
     let mut session = engine.open_session(secret);
     if let Some(name) = &spec.name {
@@ -765,9 +744,9 @@ pub struct ServeSpec {
     /// Sessions idle longer than this many seconds are expired (demoted to
     /// the store, when one is configured).
     pub idle_timeout_secs: Option<u64>,
-    /// Durable store behind the tenant journal and artifact caches, e.g.
+    /// Durable store of the tenant journal, e.g.
     /// `{"backend": "log", "path": "/var/lib/qvsec"}`. The CLI's
-    /// `--store <PATH>` flag overrides this with a log store at PATH.
+    /// `serve --store <PATH>` overrides this with a log store at PATH.
     pub store: Option<qvsec_store::StoreConfig>,
     /// Connection-lifecycle knobs for the TCP front end; every field is
     /// optional and falls back to the server's defaults.
@@ -830,17 +809,15 @@ pub fn parse_serve_spec(text: &str) -> Result<ServeSpec, CliError> {
 }
 
 /// Builds the engine and sharded registry a server spec declares. With a
-/// `store` block the registry journals tenant lifecycle to it and
-/// rehydrates everything journaled before — tenants and artifacts — so a
-/// restart is invisible to clients.
+/// `store` block the registry journals tenant lifecycle to it and replays
+/// everything journaled before, so a restart is invisible to clients; the
+/// engine's compiled artifacts stay in memory and are recomputed on first
+/// use.
 pub fn build_registry(spec: &ServeSpec) -> Result<qvsec_serve::SessionRegistry, CliError> {
     let (schema, domain) = build_schema_domain(&spec.relations, &spec.constants)?;
     let defaults = spec.defaults.clone().unwrap_or_default();
     let store = spec.store.as_ref().map(open_spec_store).transpose()?;
     let mut builder = AuditEngine::builder(schema.clone(), domain.clone());
-    if let Some(store) = &store {
-        builder = builder.store(Arc::clone(store));
-    }
     if let Some(depth) = &defaults.depth {
         builder = builder.default_depth(parse_depth(depth)?);
     }

@@ -27,7 +27,7 @@ qvsec-cli — query-view security audits (Miklau & Suciu, SIGMOD 2004)
 
 USAGE:
     qvsec-cli audit --spec <FILE> [OPTIONS]
-    qvsec-cli session --spec <FILE> [--store <DIR>] [OPTIONS]
+    qvsec-cli session --spec <FILE> [OPTIONS]
     qvsec-cli serve --spec <FILE> --addr <HOST:PORT> [--max-connections <N>] [--store <DIR>]
                     [--metrics-addr <HOST:PORT>] [--slow-ms <N>]
     qvsec-cli request --addr <HOST:PORT> [--file <FILE>] [--out <FILE>]
@@ -55,9 +55,10 @@ OPTIONS:
     --max-connections <N>
                      (serve) accept-gate cap on concurrent connections
                      (overrides the spec's `server.max_connections`)
-    --store <DIR>    (serve/session) durable log store at DIR: tenants and
-                     compiled artifacts persist and rehydrate on restart
-                     (overrides the spec's `store` block)
+    --store <DIR>    (serve) durable log store at DIR: the tenant journal
+                     persists and replays on restart; compiled artifacts
+                     are recomputed on first use (overrides the spec's
+                     `store` block)
     --metrics-addr <ADDR>
                      (serve) also serve Prometheus text metrics over HTTP
                      at ADDR (GET, any path)
@@ -188,13 +189,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    if args.store.is_some()
-        && matches!(
-            args.command,
-            Command::Audit | Command::Request | Command::Sql
-        )
-    {
-        return Err("--store only applies to `serve` and `session`".into());
+    if args.store.is_some() && !matches!(args.command, Command::Serve) {
+        return Err("--store only applies to `serve`".into());
     }
     if (args.query.is_some() || args.name.is_some()) && !matches!(args.command, Command::Sql) {
         return Err("--query and --name only apply to `sql`".into());
@@ -712,13 +708,7 @@ fn main() -> ExitCode {
     };
     let run = match args.command {
         Command::Audit => qvsec_cli::run_spec(&text, args.sequential),
-        Command::Session => {
-            let store = args
-                .store
-                .as_ref()
-                .map(|path| qvsec_store::StoreConfig::log_at(path.clone()));
-            qvsec_cli::run_session_spec_with_store(&text, store.as_ref())
-        }
+        Command::Session => qvsec_cli::run_session_spec(&text),
         _ => unreachable!("serve/request handled above"),
     };
     let reports = match run {

@@ -87,6 +87,34 @@ fn bad_invocations_fail_with_diagnostics() {
 }
 
 #[test]
+fn store_flag_only_applies_to_serve() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("refused-store");
+    let dir_arg = dir.to_str().expect("UTF-8 path");
+    for args in [
+        &["session", "--spec", "specs/session_collusion.json"][..],
+        &["audit", "--spec", "specs/table1.json"],
+        &["request", "--addr", "127.0.0.1:9"],
+        &[
+            "sql",
+            "--spec",
+            "specs/table1.json",
+            "--query",
+            "SHOW TABLES",
+        ],
+        &["top", "--addr", "127.0.0.1:9"],
+    ] {
+        let out = run_cli(&[args, &["--store", dir_arg]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?} --store is refused");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--store only applies to `serve`"),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert!(!dir.exists(), "a refused --store opens nothing");
+}
+
+#[test]
 fn serves_the_committed_request_script_deterministically() {
     // One full server lifecycle per run: spawn `serve` on an ephemeral
     // port (`:0` — a fixed port would collide with concurrent checkouts or

@@ -32,45 +32,21 @@
 //! byte-identical under thread contention in
 //! `tests/sharded_memo_stress.rs`). With no budget the caches keep the
 //! historical append-only behaviour. Hit/miss/eviction counters and
-//! resident bytes feed the per-step cache metadata of
-//! [`crate::session::SessionReport`].
+//! resident bytes are read through [`CompiledArtifacts::counters`].
+//!
+//! Artifacts are never persisted: each is a pure function of (query,
+//! domain, dictionary), so one that is not resident — after a restart or
+//! an eviction — is recomputed on first use. The durable store of a
+//! server holds tenant state only (the serving layer's journal).
 
 use crate::critical::{self, ClassVerdictCache, CritStats};
 use crate::Result;
 use qvsec_cq::{CanonicalKey, ConjunctiveQuery};
 use qvsec_data::{Domain, ShardedLruCache, Tuple, TupleSpace};
-use qvsec_store::{StoreBackend, StoreOp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Store namespace of materialized `crit_D(Q)` sets.
-pub const NS_CRIT: &str = "artifacts/crit";
-/// Store namespace of interned candidate spaces.
-pub const NS_SPACE: &str = "artifacts/space";
-/// Store namespace of symmetry-class verdict caches.
-pub const NS_CLASS: &str = "artifacts/class";
-
-/// Store key of a (canonical form, active-domain size) artifact. The
-/// fixed-width size prefix keeps keys self-describing (forms may contain
-/// anything) and store scans grouped by domain size.
-fn domain_key(form: &str, domain_size: usize) -> String {
-    format!("{domain_size:08}:{form}")
-}
-
-/// Inverse of [`domain_key`]. The first `:` always terminates the
-/// fixed-width size prefix, so forms containing `:` parse correctly.
-fn parse_domain_key(key: &str) -> Option<(usize, &str)> {
-    let (size, form) = key.split_once(':')?;
-    Some((size.parse().ok()?, form))
-}
-
-/// Store failures during prewarm surface as engine errors (unlike the
-/// best-effort write-through path).
-fn store_err(e: qvsec_store::StoreError) -> crate::QvsError {
-    crate::QvsError::Invalid(format!("artifact store: {e}"))
-}
 
 /// Shards each memo layer is split into: enough that concurrent tenants
 /// touching distinct canonical forms rarely contend on one lock, few enough
@@ -146,11 +122,6 @@ pub struct CompiledArtifacts {
     crit_misses: AtomicU64,
     space_hits: AtomicU64,
     space_misses: AtomicU64,
-    /// Optional write-through persistence. Every computed artifact is
-    /// mirrored into the store, so LRU eviction *demotes* (the entry
-    /// remains fetchable) instead of dropping; a resident miss falls back
-    /// to the store before recomputing.
-    store: Option<Arc<dyn StoreBackend>>,
 }
 
 impl Default for CompiledArtifacts {
@@ -167,15 +138,6 @@ impl CompiledArtifacts {
 
     /// An empty artifact store bounded by `budget`.
     pub fn with_budget(budget: ArtifactBudget) -> Self {
-        Self::with_budget_and_store(budget, None)
-    }
-
-    /// An empty artifact store bounded by `budget`, writing every computed
-    /// artifact through into `store` (when given).
-    pub fn with_budget_and_store(
-        budget: ArtifactBudget,
-        store: Option<Arc<dyn StoreBackend>>,
-    ) -> Self {
         CompiledArtifacts {
             crit_sets: ShardedLruCache::new(MEMO_SHARDS, budget.crit_bytes),
             spaces: ShardedLruCache::new(MEMO_SHARDS, budget.space_bytes),
@@ -185,16 +147,6 @@ impl CompiledArtifacts {
             crit_misses: AtomicU64::new(0),
             space_hits: AtomicU64::new(0),
             space_misses: AtomicU64::new(0),
-            store,
-        }
-    }
-
-    /// Best-effort write-through: artifact persistence must never fail an
-    /// audit (the store is a cache tier here — the durable journal of
-    /// tenant state lives in the serving layer and *does* surface errors).
-    fn persist(&self, ns: &str, key: String, value: Vec<u8>) {
-        if let Some(store) = &self.store {
-            let _ = store.append_batch(ns, vec![StoreOp::Put { key, value }]);
         }
     }
 
@@ -271,16 +223,6 @@ impl CompiledArtifacts {
             self.crit_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(hit));
         }
-        // A demoted (evicted-but-persisted) artifact is promoted back and
-        // counted as a hit: no kernel work ran.
-        let store_key = domain_key(key.form(), active.len());
-        if let Some(set) = self.fetch::<Vec<Tuple>>(NS_CRIT, &store_key) {
-            self.crit_hits.fetch_add(1, Ordering::Relaxed);
-            let promoted = Arc::new(set.into_iter().collect::<BTreeSet<Tuple>>());
-            let bytes = crit_set_bytes(&promoted) + memo_key.0.len();
-            let mut memo = self.crit_sets.shard(&memo_key);
-            return Ok(Arc::clone(memo.insert(memo_key.clone(), promoted, bytes)));
-        }
         self.crit_misses.fetch_add(1, Ordering::Relaxed);
         // Compute outside the lock so concurrent audits of distinct queries
         // do not serialize; a racing duplicate insert is harmless.
@@ -295,38 +237,15 @@ impl CompiledArtifacts {
         )?);
         drop(kernel_span);
         // The kernel may have grown the shared class cache; re-weigh it so
-        // the class-layer budget sees the growth, and mirror the grown
-        // verdict map into the store.
+        // the class-layer budget sees the growth.
         if let Some(classes) = &classes {
             self.class_verdicts
                 .shard(key.form())
                 .set_bytes(key.form(), classes.approx_bytes());
-            if self.store.is_some() {
-                if let Ok(encoded) = serde_json::to_string(&classes.export()) {
-                    self.persist(NS_CLASS, key.form().to_string(), encoded.into_bytes());
-                }
-            }
-        }
-        if self.store.is_some() {
-            let tuples: Vec<&Tuple> = computed.iter().collect();
-            if let Ok(encoded) = serde_json::to_string(&tuples) {
-                self.persist(NS_CRIT, store_key, encoded.into_bytes());
-            }
         }
         let bytes = crit_set_bytes(&computed) + memo_key.0.len();
         let mut memo = self.crit_sets.shard(&memo_key);
         Ok(Arc::clone(memo.insert(memo_key.clone(), computed, bytes)))
-    }
-
-    /// Reads and decodes one persisted artifact; `None` on any miss or
-    /// decode failure (the artifact is then recomputed).
-    fn fetch<T: serde::Deserialize>(&self, ns: &str, key: &str) -> Option<T> {
-        let store = self.store.as_ref()?;
-        let bytes = store.get(ns, key).ok()??;
-        let text = String::from_utf8(bytes).ok()?;
-        serde_json::parse(&text)
-            .and_then(|v| serde_json::from_value(&v))
-            .ok()
     }
 
     /// Computes (or fetches) the interned candidate space of `query` over
@@ -342,90 +261,13 @@ impl CompiledArtifacts {
             self.space_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(hit));
         }
-        let store_key = domain_key(&memo_key.0, active.len());
-        if let Some(tuples) = self.fetch::<Vec<Tuple>>(NS_SPACE, &store_key) {
-            self.space_hits.fetch_add(1, Ordering::Relaxed);
-            let promoted = Arc::new(TupleSpace::from_tuples(tuples));
-            let bytes = space_bytes(&promoted) + memo_key.0.len();
-            let mut memo = self.spaces.shard(&memo_key);
-            return Ok(Arc::clone(memo.insert(memo_key.clone(), promoted, bytes)));
-        }
         self.space_misses.fetch_add(1, Ordering::Relaxed);
         let space_span = qvsec_obs::Span::enter("crit.space");
         let computed = Arc::new(critical::candidate_space(query, active, cap)?);
         drop(space_span);
-        if self.store.is_some() {
-            if let Ok(encoded) = serde_json::to_string(&computed.tuples()) {
-                self.persist(NS_SPACE, store_key, encoded.into_bytes());
-            }
-        }
         let bytes = space_bytes(&computed) + memo_key.0.len();
         let mut memo = self.spaces.shard(&memo_key);
         Ok(Arc::clone(memo.insert(memo_key.clone(), computed, bytes)))
-    }
-
-    /// Repopulates the resident memo layers from the store, **without**
-    /// touching any hit/miss counter — a rehydrated engine's counters
-    /// continue from wherever the journal's baseline puts them, and the
-    /// prewarmed entries make the next requests hit exactly as they would
-    /// have in the uninterrupted process. Entries are inserted in store
-    /// scan (key) order with the same byte weights the compute path uses,
-    /// so the resident-bytes gauge is reproduced byte-for-byte.
-    pub fn prewarm_from_store(&self) -> Result<()> {
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        let decode = |bytes: Vec<u8>| -> Option<serde_json::Value> {
-            serde_json::parse(&String::from_utf8(bytes).ok()?).ok()
-        };
-        let entries = store.scan(NS_CRIT).map_err(store_err)?;
-        for (key, bytes) in entries {
-            let Some((size, form)) = parse_domain_key(&key) else {
-                continue;
-            };
-            let Some(set) =
-                decode(bytes).and_then(|v| serde_json::from_value::<Vec<Tuple>>(&v).ok())
-            else {
-                continue;
-            };
-            let set = Arc::new(set.into_iter().collect::<BTreeSet<Tuple>>());
-            let weight = crit_set_bytes(&set) + form.len();
-            let memo_key = (form.to_string(), size);
-            self.crit_sets
-                .shard(&memo_key)
-                .insert(memo_key.clone(), set, weight);
-        }
-        let entries = store.scan(NS_SPACE).map_err(store_err)?;
-        for (key, bytes) in entries {
-            let Some((size, form)) = parse_domain_key(&key) else {
-                continue;
-            };
-            let Some(tuples) =
-                decode(bytes).and_then(|v| serde_json::from_value::<Vec<Tuple>>(&v).ok())
-            else {
-                continue;
-            };
-            let space = Arc::new(TupleSpace::from_tuples(tuples));
-            let weight = space_bytes(&space) + form.len();
-            let memo_key = (form.to_string(), size);
-            self.spaces
-                .shard(&memo_key)
-                .insert(memo_key.clone(), space, weight);
-        }
-        let entries = store.scan(NS_CLASS).map_err(store_err)?;
-        for (form, bytes) in entries {
-            let Some(verdicts) = decode(bytes).and_then(|v| {
-                serde_json::from_value::<Vec<(critical::TuplePattern, bool)>>(&v).ok()
-            }) else {
-                continue;
-            };
-            let cache = Arc::new(ClassVerdictCache::import(verdicts));
-            let weight = cache.approx_bytes();
-            self.class_verdicts
-                .shard(form.as_str())
-                .insert(form.clone(), cache, weight);
-        }
-        Ok(())
     }
 
     /// A snapshot of the artifact-layer hit/miss/eviction counters and
@@ -458,24 +300,20 @@ impl CompiledArtifacts {
     }
 }
 
-/// Which cache tier answered a non-promoting `explain` probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+/// Whether a read-only `explain` probe found an artifact resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ArtifactTier {
-    /// Not cached anywhere; the next request recomputes.
+    /// Not resident; the next request recomputes it.
     Uncached,
-    /// Only in the durable store (evicted-but-persisted; the next request
-    /// promotes it back without recomputing).
-    Store,
     /// Resident in the in-memory memo.
     Memory,
 }
 
 impl ArtifactTier {
-    /// The wire spelling (`memory` | `store` | `uncached`).
+    /// The wire spelling (`memory` | `uncached`).
     pub fn as_str(self) -> &'static str {
         match self {
             ArtifactTier::Memory => "memory",
-            ArtifactTier::Store => "store",
             ArtifactTier::Uncached => "uncached",
         }
     }
@@ -483,29 +321,29 @@ impl ArtifactTier {
 
 /// The result of probing every artifact layer for one canonical form —
 /// the payload of the `explain` wire op and `SHOW CANONICAL`. Probes are
-/// strictly read-only: they never promote a store entry, refresh LRU
-/// recency, or bump a hit/miss counter, so issuing `explain` cannot change
-/// any later verdict or eviction.
+/// strictly read-only: they never refresh LRU recency or bump a hit/miss
+/// counter, so issuing `explain` cannot change any later verdict or
+/// eviction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ArtifactProbe {
     /// The probed canonical form.
     pub form: String,
-    /// Best tier holding a materialized `crit_D(Q)` set for the form (at
+    /// Whether a materialized `crit_D(Q)` set for the form is resident (at
     /// any active-domain size).
     pub crit: ArtifactTier,
     /// Active-domain sizes with a cached `crit_D(Q)` set, ascending.
     pub crit_domain_sizes: Vec<usize>,
-    /// Best tier holding an interned candidate space for the form.
+    /// Whether an interned candidate space for the form is resident.
     pub space: ArtifactTier,
-    /// Tier holding the form's shared symmetry-class verdict cache (the
+    /// Whether the form's shared symmetry-class verdict cache (the
     /// memoized per-class criticality *decisions*, reused across domain
-    /// sizes). Always `Uncached` for order-constrained queries.
+    /// sizes) is resident. Always `Uncached` for order-constrained queries.
     pub class_verdicts: ArtifactTier,
 }
 
 impl CompiledArtifacts {
-    /// Probes every layer for `query`'s canonical form without promoting,
-    /// recomputing or counting anything. See [`ArtifactProbe`].
+    /// Probes every layer for `query`'s canonical form without recomputing
+    /// or counting anything. See [`ArtifactProbe`].
     pub fn probe(&self, query: &ConjunctiveQuery) -> ArtifactProbe {
         let form = qvsec_cq::canonical_form(query);
         let mut crit_sizes: BTreeSet<usize> = BTreeSet::new();
@@ -522,7 +360,7 @@ impl CompiledArtifacts {
                 space = ArtifactTier::Memory;
             }
         });
-        let mut class_verdicts = if self
+        let class_verdicts = if self
             .class_verdicts
             .shard(form.as_str())
             .peek(&form)
@@ -532,29 +370,6 @@ impl CompiledArtifacts {
         } else {
             ArtifactTier::Uncached
         };
-        if let Some(store) = &self.store {
-            let scan_sizes = |ns: &str, tier: &mut ArtifactTier| {
-                let mut sizes = BTreeSet::new();
-                if let Ok(entries) = store.scan(ns) {
-                    for (key, _) in entries {
-                        if let Some((size, f)) = parse_domain_key(&key) {
-                            if f == form {
-                                sizes.insert(size);
-                                *tier = (*tier).max(ArtifactTier::Store);
-                            }
-                        }
-                    }
-                }
-                sizes
-            };
-            crit_sizes.extend(scan_sizes(NS_CRIT, &mut crit));
-            scan_sizes(NS_SPACE, &mut space);
-            if class_verdicts == ArtifactTier::Uncached
-                && matches!(store.get(NS_CLASS, &form), Ok(Some(_)))
-            {
-                class_verdicts = ArtifactTier::Store;
-            }
-        }
         ArtifactProbe {
             form,
             crit,

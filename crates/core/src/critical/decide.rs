@@ -162,9 +162,7 @@ fn partial_assignment(subst: &Substitution, var_count: usize) -> Vec<Option<Valu
 /// distinct unanchored value), so the per-candidate grouping key costs no
 /// heap allocation on realistic schemas; wider shapes fall back to an
 /// explicit token vector.
-#[derive(
-    Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum TuplePattern {
     /// ≤ 12 positions, ≤ 16 anchors: 5 bits per position under a sentinel.
     Packed {

@@ -134,26 +134,6 @@ impl ClassVerdictCache {
             })
             .sum::<usize>()
     }
-
-    /// Exports every memoized verdict in deterministic (pattern) order —
-    /// the engine's persistence layer serializes this.
-    pub(crate) fn export(&self) -> Vec<(TuplePattern, bool)> {
-        let known = self.verdicts.lock().expect("class cache poisoned");
-        let mut entries: Vec<(TuplePattern, bool)> =
-            known.iter().map(|(p, v)| (p.clone(), *v)).collect();
-        entries.sort();
-        entries
-    }
-
-    /// Rebuilds a cache from exported entries (store rehydration).
-    pub(crate) fn import(entries: Vec<(TuplePattern, bool)>) -> Self {
-        let cache = Self::new();
-        {
-            let mut known = cache.verdicts.lock().expect("class cache poisoned");
-            known.extend(entries);
-        }
-        cache
-    }
 }
 
 /// One symmetry class discovered by the streaming grounding pass.

@@ -56,7 +56,6 @@ mod kernel;
 mod stats;
 
 pub use candidates::{candidate_space, critical_candidates, DEFAULT_CANDIDATE_CAP};
-pub(crate) use decide::TuplePattern;
 pub use decide::{is_critical, is_critical_traced};
 pub use kernel::{
     common_critical_tuples, common_critical_tuples_traced, critical_tuples, critical_tuples_seq,

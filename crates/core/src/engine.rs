@@ -44,7 +44,10 @@
 //! computes its critical tuples exactly once, and — for order-free
 //! queries — symmetry-class verdicts are shared across *domain sizes*, so
 //! even a grown active domain only re-derives class members rather than
-//! re-deciding representatives.
+//! re-deciding representatives. The memo lives in memory only: every
+//! artifact is a pure function of (query, domain, dictionary), so a fresh
+//! engine — after a restart, or on a server with a durable store of tenant
+//! state — recomputes each one on first use.
 //!
 //! Cache misses are served by the parallel, pruned `crit(Q)` kernel of
 //! [`crate::critical`] (streaming pattern grouping, unification prefilter,
@@ -84,11 +87,7 @@ use crate::session::AuditSession;
 use crate::{QvsError, Result};
 use qvsec_cq::{ConjunctiveQuery, ViewSet};
 use qvsec_data::{Dictionary, Domain, Ratio, Schema, Tuple};
-use qvsec_prob::kernel::{
-    EstimatorReport, KernelConfig, ProbKernel, ProbStatsSnapshot, NS_KERNEL_COLUMNS,
-    NS_KERNEL_COMPILE,
-};
-use qvsec_store::StoreBackend;
+use qvsec_prob::kernel::{EstimatorReport, KernelConfig, ProbKernel, ProbStatsSnapshot};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -306,7 +305,6 @@ pub struct AuditEngineBuilder {
     default_depth: AuditDepth,
     prob_config: KernelConfig,
     artifact_budget: ArtifactBudget,
-    store: Option<Arc<dyn StoreBackend>>,
 }
 
 impl AuditEngineBuilder {
@@ -329,7 +327,6 @@ impl AuditEngineBuilder {
                 ..KernelConfig::default()
             },
             artifact_budget: ArtifactBudget::unbounded(),
-            store: None,
         }
     }
 
@@ -416,17 +413,6 @@ impl AuditEngineBuilder {
         self
     }
 
-    /// Backs every artifact cache — crit sets, candidate spaces, class
-    /// verdicts, kernel compilations, pool columns — with a durable store:
-    /// artifacts are written through at compute time and revived on a
-    /// resident-cache miss, so LRU eviction demotes instead of discarding
-    /// and [`AuditEngine::rehydrate`] rebuilds a byte-identical warm engine
-    /// after a restart. The LRU byte budgets still bound resident memory.
-    pub fn store(mut self, store: Arc<dyn StoreBackend>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
     /// Builds the engine.
     pub fn build(self) -> AuditEngine {
         AuditEngine {
@@ -437,12 +423,8 @@ impl AuditEngineBuilder {
             candidate_cap: self.candidate_cap,
             default_depth: self.default_depth,
             prob_config: self.prob_config,
-            artifacts: CompiledArtifacts::with_budget_and_store(
-                self.artifact_budget,
-                self.store.clone(),
-            ),
+            artifacts: CompiledArtifacts::with_budget(self.artifact_budget),
             prob_kernel: OnceLock::new(),
-            store: self.store,
         }
     }
 }
@@ -488,9 +470,6 @@ pub struct AuditEngine {
     /// `Probabilistic` audit and reused (pool included) for the engine's
     /// whole lifetime.
     prob_kernel: OnceLock<Arc<ProbKernel>>,
-    /// Optional durable backing shared by every cache layer (also handed
-    /// to the kernel when it is built).
-    store: Option<Arc<dyn StoreBackend>>,
 }
 
 // The engine is shared across audit worker threads.
@@ -601,43 +580,8 @@ impl AuditEngine {
     /// The probabilistic kernel, built against the engine's dictionary on
     /// first use.
     fn kernel(&self, dict: &Arc<Dictionary>) -> &Arc<ProbKernel> {
-        self.prob_kernel.get_or_init(|| {
-            Arc::new(ProbKernel::with_store(
-                Arc::clone(dict),
-                self.prob_config,
-                self.store.clone(),
-            ))
-        })
-    }
-
-    /// Rehydrates the engine's caches from its durable store after a
-    /// restart: the artifact layers (crit sets, candidate spaces, class
-    /// verdicts) are prewarmed, and — when the store holds kernel
-    /// artifacts and a dictionary is configured — the probabilistic kernel
-    /// is built and prewarmed too, including a counter-free prebuild of
-    /// the shared sample pool when persisted columns prove the previous
-    /// process ran the Monte-Carlo path. A no-op without a store.
-    pub fn rehydrate(&self) -> Result<()> {
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        self.artifacts.prewarm_from_store()?;
-        if let Some(dict) = self.dictionary.clone() {
-            let has_kernel_artifacts = !store
-                .scan(NS_KERNEL_COMPILE)
-                .map_err(|e| QvsError::Invalid(format!("artifact store: {e}")))?
-                .is_empty()
-                || !store
-                    .scan(NS_KERNEL_COLUMNS)
-                    .map_err(|e| QvsError::Invalid(format!("artifact store: {e}")))?
-                    .is_empty();
-            if has_kernel_artifacts {
-                self.kernel(&dict)
-                    .prewarm_from_store()
-                    .map_err(|e| QvsError::Invalid(format!("artifact store: {e}")))?;
-            }
-        }
-        Ok(())
+        self.prob_kernel
+            .get_or_init(|| Arc::new(ProbKernel::new(Arc::clone(dict), self.prob_config)))
     }
 
     /// Computes (or fetches) `crit_D(Q)` over `active` through the
@@ -693,7 +637,7 @@ impl AuditEngine {
 
     /// Probes every artifact-cache layer for `query`'s canonical form —
     /// the engine half of the `explain` wire op. Strictly read-only: no
-    /// promotion, no recomputation, no counter movement.
+    /// recomputation, no LRU refresh, no counter movement.
     pub fn explain(&self, query: &ConjunctiveQuery) -> crate::artifacts::ArtifactProbe {
         self.artifacts.probe(query)
     }

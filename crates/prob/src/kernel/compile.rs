@@ -95,18 +95,10 @@ impl CompiledQuery {
         CompiledQuery::from_parts(answers, witnesses, space.len())
     }
 
-    /// The compilation's portable parts — the sorted answers and their
-    /// minimal witnesses. Everything else (`u64` masks, chunked bitsets,
-    /// signature width) is derived, so [`CompiledQuery::from_parts`]
-    /// rebuilds an identical compilation from these two lists plus the
-    /// space size.
-    pub fn export_parts(&self) -> (Vec<Answer>, Vec<Vec<Vec<usize>>>) {
-        (self.answers.clone(), self.witnesses.clone())
-    }
-
-    /// Rebuilds a compilation from its portable parts against a space of
-    /// `space_len` tuples, reconstructing the derived evaluation forms
-    /// exactly as [`CompiledQuery::compile`] would.
+    /// Builds a compilation from its sorted answers and their minimal
+    /// witnesses against a space of `space_len` tuples, deriving the
+    /// evaluation forms (`u64` masks, chunked bitsets, signature width);
+    /// [`CompiledQuery::compile`] builds through it.
     pub fn from_parts(
         answers: Vec<Answer>,
         witnesses: Vec<Vec<Vec<usize>>>,
@@ -308,8 +300,11 @@ mod tests {
         let (schema, mut domain, space) = setup();
         let q = parse_query("V(x) :- R(x, y)", &schema, &mut domain).unwrap();
         let compiled = CompiledQuery::compile(&q, &space);
-        let (answers, witnesses) = compiled.export_parts();
-        let revived = CompiledQuery::from_parts(answers, witnesses, space.len());
+        let witnesses = (0..compiled.num_answers())
+            .map(|i| compiled.witnesses_of(i).to_vec())
+            .collect();
+        let revived =
+            CompiledQuery::from_parts(compiled.answers().to_vec(), witnesses, space.len());
         assert_eq!(revived.answers(), compiled.answers());
         assert_eq!(revived.sig_words(), compiled.sig_words());
         assert_eq!(revived.approx_bytes(), compiled.approx_bytes());

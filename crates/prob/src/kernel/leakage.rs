@@ -24,6 +24,15 @@ use super::{significant_f64, KernelLeakEntry, KernelLeakage};
 use qvsec_data::Ratio;
 use std::sync::Arc;
 
+/// `∏ answers[1..]` (the view combos), provided `answers[0]` times it —
+/// the number of §6.1 pairs, secret first — fits a `u64`.
+pub(crate) fn checked_combos(answers: &[usize]) -> Option<u64> {
+    answers[1..]
+        .iter()
+        .try_fold(1u64, |acc, &n| acc.checked_mul(n as u64))
+        .filter(|c| c.checked_mul(answers[0] as u64).is_some())
+}
+
 /// One bitmap per `(query, answer)` over a fixed list of rows: bit `r` of
 /// answer `a`'s bitmap is set iff row `r`'s answer set holds `a`.
 pub(crate) struct AnswerBitmaps {
@@ -96,14 +105,10 @@ impl AnswerBitmaps {
 
     /// Number of combos, `∏ answers` over the views (1 with no views).
     /// Every emission rank (see [`emission`]) is below `answers[0]` times
-    /// this, which must fit a `u64`.
+    /// this; [`super::ProbKernel::evaluate`] refuses audits where that
+    /// product overflows a `u64` ([`checked_combos`]).
     fn combos(&self) -> u64 {
-        let combos = self.answers[1..]
-            .iter()
-            .try_fold(1u64, |acc, &n| acc.checked_mul(n as u64));
-        combos
-            .filter(|c| c.checked_mul(self.answers[0] as u64).is_some())
-            .expect("leakage pairs overflow u64")
+        checked_combos(&self.answers).expect("leakage pairs overflow u64")
     }
 
     /// Calls `leaf(rank, support)` for every combo some row supports, in

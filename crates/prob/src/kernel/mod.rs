@@ -20,7 +20,9 @@
 //!
 //! Every audit reports which estimator produced it ([`EstimatorReport`]),
 //! and the kernel keeps lifetime counters of worlds streamed, samples
-//! drawn/reused and exact→Monte-Carlo cutovers ([`ProbStats`]).
+//! drawn/reused and exact→Monte-Carlo cutovers ([`ProbStats`]). Its caches
+//! — compilations, pool columns, whole audits — live in memory only: a
+//! fresh kernel recomputes each entry on first use.
 
 pub mod compile;
 pub mod exact;
@@ -45,30 +47,9 @@ use leakage::AnswerBitmaps;
 use qvsec_cq::eval::Answer;
 use qvsec_cq::{canonical_form, ConjunctiveQuery, ViewSet};
 use qvsec_data::bitset::MAX_ENUMERABLE;
-use qvsec_data::{Dictionary, Ratio, Result, ShardedLruCache, TupleSpace};
-use qvsec_store::{StoreBackend, StoreOp};
+use qvsec_data::{DataError, Dictionary, Ratio, Result, ShardedLruCache, TupleSpace};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
-
-/// Store namespace of persisted query compilations (answers + minimal
-/// witnesses; the evaluation forms are derived on revival).
-pub const NS_KERNEL_COMPILE: &str = "kernel/compile";
-/// Store namespace of persisted pooled answer-bit columns. Keys carry the
-/// pool identity (seed and sample count) ahead of the canonical form, so a
-/// reconfigured kernel never revives columns drawn over a different pool.
-pub const NS_KERNEL_COLUMNS: &str = "kernel/columns";
-/// Store namespace of persisted whole-audit verdicts. Keys carry the full
-/// estimator identity (seed, sample count, exact cutover, report cap) ahead
-/// of the memo key, so a reconfigured kernel never revives a verdict
-/// produced under different estimation settings.
-pub const NS_KERNEL_AUDITS: &str = "kernel/audits";
-
-/// Best-effort JSON decode of a persisted value; `None` on any mismatch.
-fn decode_json<T: serde::Deserialize>(bytes: &[u8]) -> Option<T> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let value = serde_json::parse(text).ok()?;
-    serde_json::from_value(&value).ok()
-}
 
 /// Kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -230,25 +211,11 @@ pub struct ProbKernel {
     /// eviction is transparent (the next identical audit recomputes and
     /// reinserts).
     audits: ShardedLruCache<String, Arc<KernelAudit>>,
-    /// Optional durable backing: compilations and pool columns are written
-    /// through at compute time and revived on a resident-cache miss, so
-    /// LRU eviction demotes instead of discarding.
-    store: Option<Arc<dyn StoreBackend>>,
 }
 
 impl ProbKernel {
     /// Builds a kernel over `dict` with the given configuration.
     pub fn new(dict: Arc<Dictionary>, config: KernelConfig) -> Self {
-        Self::with_store(dict, config, None)
-    }
-
-    /// Builds a kernel whose compile and column caches are backed by a
-    /// durable store (write-through on compute, revival on miss).
-    pub fn with_store(
-        dict: Arc<Dictionary>,
-        config: KernelConfig,
-        store: Option<Arc<dyn StoreBackend>>,
-    ) -> Self {
         let space = Arc::new(dict.space().clone());
         ProbKernel {
             dict,
@@ -259,125 +226,7 @@ impl ProbKernel {
             compiled: ShardedLruCache::new(KERNEL_MEMO_SHARDS, config.compile_budget),
             pool_columns: ShardedLruCache::new(KERNEL_MEMO_SHARDS, config.column_budget),
             audits: ShardedLruCache::new(KERNEL_MEMO_SHARDS, config.audit_budget),
-            store,
         }
-    }
-
-    /// Key of a pool column in [`NS_KERNEL_COLUMNS`]: the pool identity
-    /// (seed, sample count) then the canonical form. The first two `:` end
-    /// fixed-width fields, so forms containing `:` parse unambiguously.
-    fn column_key(&self, form: &str) -> String {
-        format!(
-            "{:016x}:{:08}:{form}",
-            self.config.seed, self.config.samples
-        )
-    }
-
-    /// Key of a memoized audit in [`NS_KERNEL_AUDITS`]: the estimator
-    /// identity (seed, samples, exact cutover, report cap) then the memo
-    /// key. Fixed-width fields ahead of the first free-form byte, exactly
-    /// like [`ProbKernel::column_key`].
-    fn audit_key(&self, memo_key: &str) -> String {
-        format!(
-            "{:016x}:{:08}:{:08}:{:08}:{memo_key}",
-            self.config.seed,
-            self.config.samples,
-            self.config.exact_cutover,
-            self.config.report_cap.map_or(usize::MAX, |c| c),
-        )
-    }
-
-    /// Best-effort write-through of one artifact. Persistence failures are
-    /// deliberately swallowed: the durable journal of tenant state lives in
-    /// the serving layer and *does* surface errors, whereas a kernel cache
-    /// entry that fails to persist merely recompiles after a restart.
-    fn persist(&self, ns: &str, key: &str, value: String) {
-        if let Some(store) = &self.store {
-            let _ = store.append_batch(ns, vec![StoreOp::put(key, value.into_bytes())]);
-        }
-    }
-
-    fn fetch<T: serde::Deserialize>(&self, ns: &str, key: &str) -> Option<T> {
-        let store = self.store.as_ref()?;
-        decode_json(&store.get(ns, key).ok()??)
-    }
-
-    /// Rehydrates the resident caches from the store: every persisted
-    /// compilation and matching pool column is decoded and inserted with
-    /// the same byte weights the compute path charges. Counter-neutral —
-    /// hits, misses and samples accrue only to live audits, so a restarted
-    /// process layered on a journaled counter baseline reports the same
-    /// per-step statistics a continuously-running process would. When any
-    /// column matches this kernel's pool identity the shared pool is
-    /// prebuilt (without counting a draw): the first Monte-Carlo audit
-    /// after a restart then reuses worlds exactly like a warm process.
-    pub fn prewarm_from_store(&self) -> qvsec_store::Result<()> {
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        for (key, value) in store.scan(NS_KERNEL_COMPILE)? {
-            let Some((answers, witnesses)) =
-                decode_json::<(Vec<Answer>, Vec<Vec<Vec<usize>>>)>(&value)
-            else {
-                continue;
-            };
-            let revived = Arc::new(CompiledQuery::from_parts(
-                answers,
-                witnesses,
-                self.space.len(),
-            ));
-            let bytes = revived.approx_bytes() + key.len();
-            self.compiled
-                .shard(key.as_str())
-                .insert(key, revived, bytes);
-        }
-        let prefix = self.column_key("");
-        let mut any_columns = false;
-        for (key, value) in store.scan(NS_KERNEL_COLUMNS)? {
-            if !key.starts_with(&prefix) {
-                continue;
-            }
-            let Some(column) = decode_json::<Vec<u64>>(&value) else {
-                continue;
-            };
-            any_columns = true;
-            // The resident cache keys by bare canonical form (the pool
-            // identity is implicit in the kernel); strip the store prefix
-            // so byte weights and lookups match the compute path.
-            let form = key[prefix.len()..].to_string();
-            let column = Arc::new(column);
-            let bytes = 8 * column.len() + form.len() + 24;
-            self.pool_columns
-                .shard(form.as_str())
-                .insert(form, column, bytes);
-        }
-        if self.config.audit_memo {
-            let audit_prefix = self.audit_key("");
-            for (key, value) in store.scan(NS_KERNEL_AUDITS)? {
-                if !key.starts_with(&audit_prefix) {
-                    continue;
-                }
-                let Some(audit) = decode_json::<KernelAudit>(&value) else {
-                    continue;
-                };
-                let memo_key = key[audit_prefix.len()..].to_string();
-                let bytes = approx_audit_bytes(&audit) + memo_key.len();
-                self.audits
-                    .shard(memo_key.as_str())
-                    .insert(memo_key, Arc::new(audit), bytes);
-            }
-        }
-        if any_columns {
-            self.pool.get_or_init(|| {
-                Arc::new(SamplePool::generate(
-                    &self.dict,
-                    Arc::clone(&self.space),
-                    self.config.samples,
-                    self.config.seed,
-                ))
-            });
-        }
-        Ok(())
     }
 
     /// The dictionary the kernel evaluates against.
@@ -462,32 +311,11 @@ impl ProbKernel {
             self.stats.add_compile_hit();
             return Arc::clone(hit);
         }
-        // Store fallback: a compilation persisted by an earlier process (or
-        // demoted by LRU eviction) is decoded instead of recompiled — no
-        // homomorphism search runs, so it counts as a hit.
-        if let Some((answers, witnesses)) =
-            self.fetch::<(Vec<Answer>, Vec<Vec<Vec<usize>>>)>(NS_KERNEL_COMPILE, &key)
-        {
-            self.stats.add_compile_hit();
-            let revived = Arc::new(CompiledQuery::from_parts(
-                answers,
-                witnesses,
-                self.space.len(),
-            ));
-            let bytes = revived.approx_bytes() + key.len();
-            let mut cache = self.compiled.shard(key.as_str());
-            return Arc::clone(cache.insert(key.clone(), revived, bytes));
-        }
         // Compile outside the lock; a racing duplicate insert is harmless.
         let compile_span = qvsec_obs::Span::enter("kernel.compile");
         let fresh = Arc::new(CompiledQuery::compile(query, &self.space));
         drop(compile_span);
         self.stats.add_query_compiled();
-        if self.store.is_some() {
-            if let Ok(text) = serde_json::to_string(&fresh.export_parts()) {
-                self.persist(NS_KERNEL_COMPILE, &key, text);
-            }
-        }
         let bytes = fresh.approx_bytes() + key.len();
         let mut cache = self.compiled.shard(key.as_str());
         Arc::clone(cache.insert(key.clone(), fresh, bytes))
@@ -501,23 +329,8 @@ impl ProbKernel {
             self.stats.add_pool_column_hit();
             return Arc::clone(hit);
         }
-        // Store fallback: a column drawn over the same pool identity in an
-        // earlier process (or demoted by eviction) is revived instead of
-        // re-tested per world, and counts as a hit.
-        if let Some(column) = self.fetch::<Vec<u64>>(NS_KERNEL_COLUMNS, &self.column_key(key)) {
-            self.stats.add_pool_column_hit();
-            let column = Arc::new(column);
-            let bytes = 8 * column.len() + key.len() + 24;
-            let mut cache = self.pool_columns.shard(key);
-            return Arc::clone(cache.insert(key.to_string(), column, bytes));
-        }
         let fresh = Arc::new(montecarlo::world_column(pool, query));
         self.stats.add_pool_column_built();
-        if self.store.is_some() {
-            if let Ok(text) = serde_json::to_string(fresh.as_ref()) {
-                self.persist(NS_KERNEL_COLUMNS, &self.column_key(key), text);
-            }
-        }
         let bytes = 8 * fresh.len() + key.len() + 24;
         let mut cache = self.pool_columns.shard(key);
         Arc::clone(cache.insert(key.to_string(), fresh, bytes))
@@ -542,27 +355,9 @@ impl ProbKernel {
                 self.stats.add_audit_memo_hit();
                 return Ok(KernelAudit::clone(hit));
             }
-            // Store fallback: a verdict persisted by an earlier process (or
-            // demoted by eviction) under the same estimator identity is
-            // revived instead of recomputed, and counts as a hit.
-            if let Some(audit) = self.fetch::<KernelAudit>(NS_KERNEL_AUDITS, &self.audit_key(key)) {
-                self.stats.add_audit_memo_hit();
-                let bytes = approx_audit_bytes(&audit) + key.len();
-                let mut memo = self.audits.shard(key.as_str());
-                return Ok(KernelAudit::clone(memo.insert(
-                    key.clone(),
-                    Arc::new(audit),
-                    bytes,
-                )));
-            }
         }
         let audit = self.evaluate_fresh(&queries, &keys)?;
         if let Some(key) = memo_key {
-            if self.store.is_some() {
-                if let Ok(text) = serde_json::to_string(&audit) {
-                    self.persist(NS_KERNEL_AUDITS, &self.audit_key(&key), text);
-                }
-            }
             let bytes = approx_audit_bytes(&audit) + key.len();
             self.audits
                 .shard(key.as_str())
@@ -581,6 +376,13 @@ impl ProbKernel {
             .zip(keys)
             .map(|(q, k)| self.compile_cached_keyed(k.clone(), q))
             .collect();
+        let answers: Vec<usize> = compiled.iter().map(|q| q.num_answers()).collect();
+        if leakage::checked_combos(&answers).is_none() {
+            return Err(DataError::Invalid(format!(
+                "leakage over {} views: secret answers times view answer combos overflows u64",
+                compiled.len() - 1
+            )));
+        }
         let offsets = sig_offsets(&compiled);
         if self.is_exact() {
             let _span = qvsec_obs::Span::enter("kernel.exact");
@@ -927,50 +729,29 @@ mod tests {
     }
 
     #[test]
-    fn store_backed_kernel_rehydrates_compilations_columns_and_pool() {
-        let (schema, mut domain, dict) = setup();
-        let s = parse_query("S(y) :- R(x, y)", &schema, &mut domain).unwrap();
-        let v = parse_query("V(x) :- R(x, y)", &schema, &mut domain).unwrap();
-        let views = ViewSet::single(v);
+    fn an_audit_whose_pairs_overflow_u64_is_refused_not_a_panic() {
+        // 18 constants: a 324-tuple space, so the Monte-Carlo path, with a
+        // sparse dictionary that keeps the combo walk cheap. The secret and
+        // every view have 324 answers; 7 views make 324⁸ ≈ 1.2·10²⁰ pairs.
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["x", "y"]);
+        let mut domain = Domain::with_constants((0..18).map(|i| format!("c{i}")));
+        let space = TupleSpace::full(&schema, &domain).unwrap();
+        let dict = Arc::new(Dictionary::uniform(space, Ratio::new(1, 128)).unwrap());
+        let s = parse_query("S(x, y) :- R(x, y)", &schema, &mut domain).unwrap();
+        let v = parse_query("V(x, y) :- R(x, y)", &schema, &mut domain).unwrap();
+        let views = ViewSet::from_views(vec![v; 7]);
         let config = KernelConfig {
-            exact_cutover: 0,
-            samples: 2000,
-            seed: 29,
+            samples: 512,
+            seed: 7,
             ..KernelConfig::default()
         };
-        let store: Arc<dyn qvsec_store::StoreBackend> = Arc::new(qvsec_store::MemStore::new());
-        let first = ProbKernel::with_store(Arc::clone(&dict), config, Some(Arc::clone(&store)));
-        let before = first.evaluate(&s, &views).unwrap();
-        assert_eq!(first.stats().queries_compiled, 2);
-        assert_eq!(first.stats().pool_columns_built, 2);
-
-        // "Restart": a fresh kernel over the same store revives everything.
-        let second = ProbKernel::with_store(dict, config, Some(store));
-        second.prewarm_from_store().unwrap();
-        assert_eq!(second.compiled_queries(), 2);
-        let after = second.evaluate(&s, &views).unwrap();
-        assert_eq!(
-            before.independence.violations,
-            after.independence.violations
-        );
-        assert_eq!(before.leakage, after.leakage);
-        let snap = second.stats();
-        assert_eq!(
-            snap.queries_compiled, 0,
-            "prewarm revives, never recompiles"
-        );
-        assert_eq!(snap.compile_cache_hits, 2);
-        assert_eq!(snap.pool_columns_built, 0);
-        assert_eq!(snap.pool_column_hits, 2);
-        assert_eq!(
-            snap.samples_drawn, 0,
-            "pool prebuilt without counting a draw"
-        );
-        assert_eq!(
-            snap.samples_reused,
-            3 * 2000,
-            "shared_pool reuse + pass reuse"
-        );
+        let kernel = ProbKernel::new(dict, config);
+        assert!(!kernel.is_exact());
+        match kernel.evaluate(&s, &views) {
+            Err(DataError::Invalid(msg)) => assert!(msg.contains("7 views"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
     }
 
     #[test]

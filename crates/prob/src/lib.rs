@@ -42,7 +42,7 @@ pub use independence::{
 };
 pub use kernel::{
     EstimatorMode, EstimatorReport, KernelAudit, KernelConfig, KernelLeakEntry, KernelLeakage,
-    ProbKernel, ProbStats, ProbStatsSnapshot, SamplePool, NS_KERNEL_COLUMNS, NS_KERNEL_COMPILE,
+    ProbKernel, ProbStats, ProbStatsSnapshot, SamplePool,
 };
 pub use lineage::{for_each_grounding, lineage_dnf, support_space, support_tuples};
 pub use poly::{event_polynomial, from_satisfying, Monomial, Polynomial};

@@ -17,10 +17,10 @@
 //! discard torn trailing records), and the remainder of the script answers
 //! exactly as the uninterrupted process would have.
 //!
-//! Journal appends are the one place persistence failures are surfaced as
-//! errors rather than swallowed: losing a cache artifact costs a
-//! recomputation, losing a lifecycle event silently would cost tenant
-//! state.
+//! The journal is all a durable store holds: compiled artifacts are pure
+//! functions of the queries, stay in memory and are recomputed after a
+//! restart. A failed append therefore surfaces as an error, since losing a
+//! lifecycle event silently would cost tenant state.
 
 use crate::ServeError;
 use qvsec::session::SessionSnapshot;

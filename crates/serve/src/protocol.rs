@@ -51,12 +51,12 @@
 //! [`crate::metrics::collect_metrics`]). It is the only op that carries
 //! cache or connection counters. `explain` takes a query in either
 //! spelling (`view` or `sql`, like `publish`) and reports, per resulting
-//! conjunctive query, its canonical form and which cache tier
-//! (`memory` | `store` | `uncached`) holds each compiled artifact — the
-//! crit sets (with the cached active-domain sizes), the candidate space,
-//! and the memoized symmetry-class verdicts. The probe is strictly
-//! read-only: it promotes nothing, refreshes no LRU recency and bumps no
-//! counter, so `explain` can never change a later verdict or an eviction.
+//! conjunctive query, its canonical form and whether each compiled
+//! artifact is resident (`memory`) or would be recomputed (`uncached`) —
+//! the crit sets (with the cached active-domain sizes), the candidate
+//! space, and the memoized symmetry-class verdicts. The probe is strictly
+//! read-only: it refreshes no LRU recency and bumps no counter, so
+//! `explain` can never change a later verdict or an eviction.
 //! `SHOW CANONICAL SELECT ...` through the `sql` op answers with the same
 //! shape.
 //!
@@ -1225,11 +1225,7 @@ mod tests {
         let store: Arc<dyn qvsec_store::StoreBackend> = Arc::new(qvsec_store::MemStore::new());
         let mut schema = Schema::new();
         schema.add_relation("Employee", &["name", "department", "phone"]);
-        let engine = Arc::new(
-            AuditEngine::builder(schema, Domain::new())
-                .store(Arc::clone(&store))
-                .build(),
-        );
+        let engine = Arc::new(AuditEngine::builder(schema, Domain::new()).build());
         let durable =
             SessionRegistry::with_store(engine, crate::registry::RegistryConfig::default(), store)
                 .unwrap();

@@ -56,8 +56,8 @@ pub enum ServeError {
     /// The underlying audit failed.
     Audit(QvsError),
     /// The durable store failed (journal append/replay, demoted-tenant
-    /// revival). Cache-artifact persistence never raises this — losing an
-    /// artifact only costs a recomputation.
+    /// revival). The store holds the tenant journal only; compiled
+    /// artifacts are never persisted.
     Store(String),
 }
 
@@ -244,24 +244,22 @@ impl SessionRegistry {
         }
     }
 
-    /// A durable registry: rehydrates the engine's artifact caches and
-    /// every journaled tenant from `store`, then journals all further
-    /// lifecycle events to it.
+    /// A durable registry: replays every journaled tenant from `store`,
+    /// then journals all further lifecycle events to it.
     ///
     /// Replay restores, per tenant, the state after its last completed
     /// request — session prefix, labelled snapshots, request count — plus
     /// the registry-wide request and expiry totals, so a SIGKILLed process
     /// restarted over the same store answers the remainder of a request
-    /// script byte-identically to a process that never died. The engine
-    /// should have been built with the same store (see
-    /// `AuditEngineBuilder::store`) so cache artifacts rehydrate alongside
-    /// tenant state.
+    /// script byte-identically to a process that never died. The journal
+    /// is all the store holds: the engine's compiled artifacts are pure
+    /// functions of the queries, so the first requests after a restart
+    /// recompute the ones they use.
     pub fn with_store(
         engine: Arc<AuditEngine>,
         config: RegistryConfig,
         store: Arc<dyn StoreBackend>,
     ) -> crate::Result<Self> {
-        engine.rehydrate().map_err(ServeError::Audit)?;
         let replayed = Journal::replay(&store)?;
 
         #[derive(Default)]
@@ -734,9 +732,8 @@ impl SessionRegistry {
         removed
     }
 
-    /// Flushes the durable store behind the journal (and, by construction,
-    /// the engine's artifact write-throughs) to disk. Returns the backend
-    /// name, or `None` when the registry has no store.
+    /// Flushes the durable store behind the journal to disk. Returns the
+    /// backend name, or `None` when the registry has no store.
     pub fn flush_store(&self) -> crate::Result<Option<&'static str>> {
         let Some(journal) = &self.journal else {
             return Ok(None);
@@ -884,14 +881,17 @@ mod tests {
     use super::*;
     use qvsec_data::{Domain, Schema};
 
-    fn registry() -> SessionRegistry {
+    fn engine() -> Arc<AuditEngine> {
         let mut schema = Schema::new();
         schema.add_relation("Employee", &["name", "department", "phone"]);
         let mut domain = Domain::new();
         // Declare the constants runtime queries may use.
         domain.add("Mgmt");
-        let engine = Arc::new(AuditEngine::builder(schema, domain).build());
-        SessionRegistry::new(engine)
+        Arc::new(AuditEngine::builder(schema, domain).build())
+    }
+
+    fn registry() -> SessionRegistry {
+        SessionRegistry::new(engine())
     }
 
     #[test]
@@ -1041,25 +1041,8 @@ mod tests {
         assert!(reg.stats().sessions_expired >= 1);
     }
 
-    fn engine_with_store(store: &Arc<dyn StoreBackend>) -> Arc<AuditEngine> {
-        let mut schema = Schema::new();
-        schema.add_relation("Employee", &["name", "department", "phone"]);
-        let mut domain = Domain::new();
-        domain.add("Mgmt");
-        Arc::new(
-            AuditEngine::builder(schema, domain)
-                .store(Arc::clone(store))
-                .build(),
-        )
-    }
-
     fn durable_registry(store: &Arc<dyn StoreBackend>) -> SessionRegistry {
-        SessionRegistry::with_store(
-            engine_with_store(store),
-            RegistryConfig::default(),
-            Arc::clone(store),
-        )
-        .unwrap()
+        SessionRegistry::with_store(engine(), RegistryConfig::default(), Arc::clone(store)).unwrap()
     }
 
     #[test]

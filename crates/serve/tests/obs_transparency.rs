@@ -242,8 +242,8 @@ proptest! {
 }
 
 /// `explain` between every step of a script must not change any later
-/// response byte: the probe never promotes a store entry, never refreshes
-/// LRU recency, never bumps a counter that feeds a report.
+/// response byte: the probe never refreshes LRU recency and never bumps a
+/// counter that feeds a report.
 #[test]
 fn interleaved_explains_do_not_perturb_responses() {
     let steps: Vec<Step> = vec![

@@ -15,9 +15,9 @@
 //!   threshold-triggered compaction. The production-shaped backend.
 //!
 //! Callers never see which backend they run over. The serving registry
-//! journals tenant lifecycle events into one namespace per registry; the
-//! engine's artifact caches write memo entries through into per-cache
-//! namespaces. Both only assume the trait contract:
+//! journals tenant lifecycle events into one namespace per registry, and
+//! that journal is all it stores (compiled artifacts are recomputed, never
+//! persisted). It only assumes the trait contract:
 //!
 //! * `scan` returns entries in ascending key order, so a journal keyed by
 //!   fixed-width sequence numbers replays in append order;
@@ -115,10 +115,10 @@ impl StoreOp {
 /// The persistence contract every backend implements: namespaced key →
 /// bytes with ordered scans and atomic batch appends.
 ///
-/// Namespaces are flat UTF-8 strings (`"registry/journal"`,
-/// `"artifacts/crit"`, ...); backends may encode them into paths however
-/// they like. Implementations must be `Send + Sync` — the serving layer
-/// appends from many worker threads.
+/// Namespaces are flat UTF-8 strings (`"registry/journal"`, ...);
+/// backends may encode them into paths however they like.
+/// Implementations must be `Send + Sync` — the serving layer appends from
+/// many worker threads.
 pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// Reads one key. `Ok(None)` when absent.
     fn get(&self, ns: &str, key: &str) -> Result<Option<Vec<u8>>>;

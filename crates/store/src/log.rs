@@ -19,12 +19,19 @@
 //!
 //! A namespace file growing past the compaction threshold is rewritten to
 //! a single record holding its live entries (written to a temp file,
-//! synced, then renamed over the original — the same atomic-replace
-//! discipline as the KV shim), so deletes and overwrites do not pin disk
-//! forever. The next compaction waits until the file has also doubled
-//! since the last rewrite (or since it was loaded), so a live set past the
-//! threshold — an append-only journal, say — is rewritten O(log n) times,
-//! not on every append.
+//! synced, renamed over the original, then the directory synced), so
+//! deletes and overwrites do not pin disk forever. The next compaction
+//! waits until the file has also doubled since the last rewrite (or since
+//! it was loaded), so a live set past the threshold — an append-only
+//! journal, say — is rewritten O(log n) times, not on every append.
+//!
+//! Durability: appends are written, not synced, so they survive the
+//! process being killed at any point. [`flush`](crate::StoreBackend::flush)
+//! syncs every loaded namespace file and then the root directory (so a
+//! namespace file created since the last flush keeps its directory entry),
+//! and a compaction syncs its rewrite and the directory before returning:
+//! after power loss the store holds every record up to the last flush or
+//! compaction.
 
 use crate::{encode_component, fnv1a_32, Result, StoreBackend, StoreError, StoreOp};
 use std::collections::{BTreeMap, HashMap};
@@ -209,6 +216,18 @@ impl LogStore {
         Ok(spaces.get_mut(ns).expect("just inserted"))
     }
 
+    /// Syncs the root directory, making its entries — namespace files
+    /// created since the last sync, a compaction's rename — durable.
+    /// Directories cannot be opened for syncing off Unix; there this is a
+    /// no-op.
+    fn sync_dir(&self) -> Result<()> {
+        #[cfg(unix)]
+        File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| StoreError::Io(format!("sync {}: {e}", self.root.display())))?;
+        Ok(())
+    }
+
     /// Rewrites `ns` to a single record of its live entries.
     fn compact(&self, ns: &str, state: &mut NsState) -> Result<()> {
         let ops: Vec<StoreOp> = state
@@ -228,6 +247,7 @@ impl LogStore {
         }
         std::fs::rename(&tmp, &path)
             .map_err(|e| StoreError::Io(format!("rename {}: {e}", path.display())))?;
+        self.sync_dir()?;
         state.file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -316,7 +336,7 @@ impl StoreBackend for LogStore {
                 .sync_all()
                 .map_err(|e| StoreError::Io(format!("sync {ns}: {e}")))?;
         }
-        Ok(())
+        self.sync_dir()
     }
 
     fn backend_name(&self) -> &'static str {

@@ -45,14 +45,10 @@ fn scratch_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// A registry whose engine and tenant journal share `store` — the shape
+/// A registry journaling its tenants to `store` — the shape
 /// `qvsec-cli serve --store` builds.
 fn registry_over(store: &Arc<dyn StoreBackend>) -> SessionRegistry {
-    let engine = Arc::new(
-        AuditEngine::builder(schema(), domain())
-            .store(Arc::clone(store))
-            .build(),
-    );
+    let engine = Arc::new(AuditEngine::builder(schema(), domain()).build());
     SessionRegistry::with_store(engine, RegistryConfig::default(), Arc::clone(store))
         .expect("replay from store")
 }
@@ -256,9 +252,8 @@ fn a_torn_final_journal_record_recovers_to_a_retryable_prefix() {
         format!(r#"{{"op": "open", "tenant": "alice", "secret": "{SECRET}"}}"#),
         r#"{"op": "publish", "tenant": "alice", "view": "V0(x0) :- R(x0, y0)"}"#.to_string(),
         r#"{"op": "candidate", "tenant": "alice", "view": "V1() :- R('a', y0)"}"#.to_string(),
-        // The final request is snapshot-only, so its artifacts were never
-        // flushed early: the only durable trace is the journal record the
-        // crash tears.
+        // The store holds the journal only, so the final request's one
+        // durable trace is the journal record the crash tears.
         r#"{"op": "snapshot", "tenant": "alice", "label": "base"}"#.to_string(),
     ];
     let stats_line = r#"{"op": "stats"}"#;
@@ -294,5 +289,46 @@ fn a_torn_final_journal_record_recovers_to_a_retryable_prefix() {
     assert_eq!(respond(&rehydrated, stats_line), baseline_stats);
 
     let _ = std::fs::remove_dir_all(&baseline_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// The durable store holds tenant state and nothing else: compiled
+// artifacts (crit sets, candidate spaces, class verdicts) stay in memory,
+// so a script that computes them leaves exactly one namespace file
+// behind — the journal.
+#[test]
+fn a_durable_store_holds_the_journal_and_nothing_else() {
+    let script = [
+        format!(r#"{{"op": "open", "tenant": "alice", "secret": "{SECRET}"}}"#),
+        r#"{"op": "publish", "tenant": "alice", "view": "V0(x0) :- R(x0, y0)"}"#.to_string(),
+        r#"{"op": "snapshot", "tenant": "alice", "label": "base"}"#.to_string(),
+        r#"{"op": "candidate", "tenant": "alice", "view": "V1() :- R('a', y0)"}"#.to_string(),
+        r#"{"op": "publish", "tenant": "alice", "view": "V2(x0) :- R(x0, 'b')"}"#.to_string(),
+        r#"{"op": "restore", "tenant": "alice", "label": "base"}"#.to_string(),
+        r#"{"op": "persist"}"#.to_string(),
+    ];
+    let dir = scratch_dir("journal-only");
+    {
+        let registry = registry_over(&log_store(&dir));
+        for line in &script {
+            let response = respond(&registry, line);
+            assert!(response.contains(r#""ok":true"#), "{line} -> {response}");
+        }
+        assert!(
+            registry.engine().cached_crit_sets() > 0,
+            "the script computed crit sets"
+        );
+    }
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("store dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    files.sort();
+    assert_eq!(files, ["registry%2fjournal.log"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
