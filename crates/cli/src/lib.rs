@@ -737,7 +737,8 @@ pub struct ServeSpec {
     /// Total byte budget for the engine's artifact and kernel caches;
     /// unset keeps them append-only.
     pub cache_budget_bytes: Option<usize>,
-    /// Cap on reported leak-entry / violation lists (serving knob).
+    /// Cap on reported leak-entry / violation lists (serving knob; unset,
+    /// the dictionary's `report_cap`, else [`DEFAULT_SERVE_REPORT_CAP`]).
     pub report_cap: Option<usize>,
     /// Registry shard count (default 16).
     pub shards: Option<usize>,
@@ -808,11 +809,18 @@ pub fn parse_serve_spec(text: &str) -> Result<ServeSpec, CliError> {
     Ok(serde_json::from_str(text)?)
 }
 
+/// Leak entries and independence violations a served audit lists when its
+/// spec sets no `report_cap`. Verdicts, the witness pair and
+/// `pairs_checked` still cover every pair; an uncapped list grows with the
+/// product of the views' answer counts, so one client could otherwise make
+/// the server materialize responses of hundreds of megabytes.
+pub const DEFAULT_SERVE_REPORT_CAP: usize = 16;
+
 /// Builds the engine and sharded registry a server spec declares. With a
-/// `store` block the registry journals tenant lifecycle to it and replays
-/// everything journaled before, so a restart is invisible to clients; the
-/// engine's compiled artifacts stay in memory and are recomputed on first
-/// use.
+/// `store` block the registry journals each tenant's state to it and
+/// reloads everything journaled before, so a restart is invisible to
+/// clients; the engine's compiled artifacts stay in memory and are
+/// recomputed on first use.
 pub fn build_registry(spec: &ServeSpec) -> Result<qvsec_serve::SessionRegistry, CliError> {
     let (schema, domain) = build_schema_domain(&spec.relations, &spec.constants)?;
     let defaults = spec.defaults.clone().unwrap_or_default();
@@ -830,9 +838,13 @@ pub fn build_registry(spec: &ServeSpec) -> Result<qvsec_serve::SessionRegistry, 
     if let Some(total) = spec.cache_budget_bytes {
         builder = builder.cache_budget_bytes(total);
     }
-    if let Some(cap) = spec.report_cap {
-        builder = builder.report_cap(cap);
-    }
+    // The top-level knob wins; a cap on the dictionary table (the spot
+    // audit/session specs use) is honored rather than silently dropped.
+    let report_cap = spec
+        .report_cap
+        .or(spec.dictionary.as_ref().and_then(|d| d.report_cap))
+        .unwrap_or(DEFAULT_SERVE_REPORT_CAP);
+    builder = builder.report_cap(report_cap);
     if let Some(dict_spec) = &spec.dictionary {
         let (n, d) = dict_spec.probability.unwrap_or((1, 2));
         let cap = dict_spec.cap.unwrap_or(4096);
@@ -849,11 +861,6 @@ pub fn build_registry(spec: &ServeSpec) -> Result<qvsec_serve::SessionRegistry, 
         }
         if let Some(seed) = dict_spec.seed {
             builder = builder.mc_seed(seed);
-        }
-        // The top-level knob wins; a cap on the dictionary table (the spot
-        // audit/session specs use) is honored rather than silently dropped.
-        if let (None, Some(cap)) = (spec.report_cap, dict_spec.report_cap) {
-            builder = builder.report_cap(cap);
         }
     }
     let config = qvsec_serve::RegistryConfig {
@@ -1064,6 +1071,47 @@ mod tests {
         assert_eq!(reborn.tenant_count(), 1);
         assert_eq!(serde_json::to_string(&reborn.stats()).unwrap(), before);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_leak_lists_are_capped_when_the_spec_sets_no_report_cap() {
+        // 18 constants under a sparse dictionary: identity views have
+        // hundreds of answers, and the uncapped leak lists made responses of
+        // 196 KB at one view and 2.8 MB at two (98 MB at four).
+        let constants: Vec<String> = (0..18).map(|i| format!(r#""c{i}""#)).collect();
+        let text = format!(
+            r#"{{
+            "relations": [{{"name": "R", "attributes": ["x", "y"]}}],
+            "constants": [{}],
+            "dictionary": {{"probability": [1, 128], "samples": 512, "seed": 7}},
+            "defaults": {{"depth": "probabilistic"}}
+        }}"#,
+            constants.join(", ")
+        );
+        let registry = build_registry(&parse_serve_spec(&text).unwrap()).unwrap();
+        let secret = registry.parse("S(x, y) :- R(x, y)").unwrap();
+        for name in ["V1", "V2"] {
+            let view = registry.parse(&format!("{name}(x, y) :- R(x, y)")).unwrap();
+            let step = registry.publish("t", Some(&secret), None, view).unwrap();
+            let report = serde_json::to_value(&step.report).unwrap();
+            let listed = |section: &str, list: &str| {
+                report.field(section).field(list).as_array().unwrap().len()
+            };
+            let leaks = listed("leakage", "positive_entries");
+            assert!(
+                leaks > 0 && leaks <= DEFAULT_SERVE_REPORT_CAP,
+                "{name}: {leaks}"
+            );
+            let violations = listed("independence", "violations");
+            assert!(
+                violations <= DEFAULT_SERVE_REPORT_CAP,
+                "{name}: {violations}"
+            );
+            // The verdict still covers every pair.
+            let pairs = report.field("leakage").field("pairs_checked").as_int();
+            assert!(pairs > Some(100_000), "{name}: {pairs:?} pairs");
+            assert_eq!(report.field("secure"), &serde_json::Value::Bool(false));
+        }
     }
 
     #[test]

@@ -55,8 +55,8 @@ OPTIONS:
     --max-connections <N>
                      (serve) accept-gate cap on concurrent connections
                      (overrides the spec's `server.max_connections`)
-    --store <DIR>    (serve) durable log store at DIR: the tenant journal
-                     persists and replays on restart; compiled artifacts
+    --store <DIR>    (serve) durable log store at DIR: each tenant's state
+                     persists and reloads on restart; compiled artifacts
                      are recomputed on first use (overrides the spec's
                      `store` block)
     --metrics-addr <ADDR>

@@ -18,14 +18,14 @@
 //! transparent: a restored session re-derives anything evicted (see
 //! `tests/eviction_equivalence.rs` in the workspace root).
 
-use crate::journal::{decode_event, Journal, JournalEvent, NS_JOURNAL};
+use crate::journal::{Journal, RegistryRecord, StoredTenant, TenantRecord};
 use qvsec::engine::{AuditEngine, AuditOptions};
 use qvsec::session::{AuditSession, SessionReport, SessionSnapshot};
 use qvsec::QvsError;
 use qvsec_cq::{canonical_form, ConjunctiveQuery};
 use qvsec_store::StoreBackend;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,7 +55,7 @@ pub enum ServeError {
     UnknownSnapshot(String),
     /// The underlying audit failed.
     Audit(QvsError),
-    /// The durable store failed (journal append/replay, demoted-tenant
+    /// The durable store failed (journal write/load, demoted-tenant
     /// revival). The store holds the tenant journal only; compiled
     /// artifacts are never persisted.
     Store(String),
@@ -198,11 +198,10 @@ pub struct SessionRegistry {
     /// The durable lifecycle journal ([`SessionRegistry::with_store`]);
     /// `None` keeps today's purely in-memory behaviour.
     journal: Option<Journal>,
-    /// Tenants demoted to the store by idle expiry: tenant id → sequence
-    /// number of the self-contained `expire` journal record. Only the
-    /// pointer stays resident; the state lives in the store until the
-    /// tenant's next request revives it.
-    demoted: Mutex<HashMap<String, u64>>,
+    /// Ids of tenants demoted to the store by idle expiry. Only the id
+    /// stays resident; the state lives in the tenant's store record until
+    /// its next request revives it.
+    demoted: Mutex<HashSet<String>>,
 }
 
 // The registry is the shared state of the serving threads.
@@ -240,113 +239,66 @@ impl SessionRegistry {
             requests: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             journal: None,
-            demoted: Mutex::new(HashMap::new()),
+            demoted: Mutex::new(HashSet::new()),
         }
     }
 
-    /// A durable registry: replays every journaled tenant from `store`,
-    /// then journals all further lifecycle events to it.
+    /// A durable registry: loads every tenant's state from `store`, then
+    /// writes each further op's state to it.
     ///
-    /// Replay restores, per tenant, the state after its last completed
+    /// Loading restores, per tenant, the state after its last completed
     /// request — session prefix, labelled snapshots, request count — plus
     /// the registry-wide request and expiry totals, so a SIGKILLed process
     /// restarted over the same store answers the remainder of a request
-    /// script byte-identically to a process that never died. The journal
-    /// is all the store holds: the engine's compiled artifacts are pure
-    /// functions of the queries, so the first requests after a restart
+    /// script byte-identically to a process that never died. It decodes the
+    /// live records only, O(tenants + snapshots); a store written by an
+    /// earlier release is migrated once (see [`crate::journal`]). Tenant
+    /// state is all the store holds: the engine's compiled artifacts are
+    /// pure functions of the queries, so the first requests after a restart
     /// recompute the ones they use.
     pub fn with_store(
         engine: Arc<AuditEngine>,
         config: RegistryConfig,
         store: Arc<dyn StoreBackend>,
     ) -> crate::Result<Self> {
-        let replayed = Journal::replay(&store)?;
-
-        #[derive(Default)]
-        struct ReplayTenant {
-            secret: Option<ConjunctiveQuery>,
-            state: Option<SessionSnapshot>,
-            snapshots: HashMap<String, SessionSnapshot>,
-            requests: u64,
-        }
-        let mut live: HashMap<String, ReplayTenant> = HashMap::new();
-        let mut demoted: HashMap<String, u64> = HashMap::new();
-        // Snapshot maps of demoted tenants, for seeding a revival that
-        // happened later in the journal.
-        let mut expired_snapshots: HashMap<String, HashMap<String, SessionSnapshot>> =
-            HashMap::new();
-        for (seq, event) in &replayed.events {
-            if event.op == "expire" {
-                live.remove(&event.tenant);
-                demoted.insert(event.tenant.clone(), *seq);
-                expired_snapshots.insert(
-                    event.tenant.clone(),
-                    event.snapshots.clone().unwrap_or_default(),
-                );
-                continue;
-            }
-            demoted.remove(&event.tenant);
-            let entry = live
-                .entry(event.tenant.clone())
-                .or_insert_with(|| ReplayTenant {
-                    // A tenant reappearing after an `expire` event revived from
-                    // the demoted record; its labelled snapshots carry over.
-                    snapshots: expired_snapshots.remove(&event.tenant).unwrap_or_default(),
-                    ..ReplayTenant::default()
-                });
-            if event.op == "snapshot" {
-                if let Some(label) = &event.snapshot_label {
-                    entry.snapshots.insert(label.clone(), event.state.clone());
-                }
-            }
-            entry.secret = Some(event.secret.clone());
-            entry.state = Some(event.state.clone());
-            entry.requests = event.tenant_requests;
-        }
-
+        let (journal, loaded) = Journal::load(store)?;
         let mut registry = Self::with_config(engine, config);
-        for (id, rt) in live {
-            let (Some(secret), Some(state)) = (rt.secret, rt.state) else {
-                continue;
-            };
-            let tenant = registry.tenant_from_parts(&id, secret, &state, rt.snapshots, rt.requests);
+        for stored in loaded.live {
+            let id = stored.record.tenant.clone();
+            let tenant = registry.tenant_from_store(stored);
             registry
                 .shard_of(&id)
                 .lock()
                 .expect("shard poisoned")
                 .insert(id, Arc::new(Mutex::new(tenant)));
         }
-        if let Some((_, last)) = replayed.events.last() {
-            registry
-                .requests
-                .store(last.registry_requests, Ordering::Relaxed);
-            registry
-                .expired
-                .store(last.registry_expired, Ordering::Relaxed);
-        }
-        registry.demoted = Mutex::new(demoted);
-        registry.journal = Some(Journal::new(store, &replayed));
+        registry
+            .requests
+            .store(loaded.totals.requests, Ordering::Relaxed);
+        registry
+            .expired
+            .store(loaded.totals.expired, Ordering::Relaxed);
+        registry.demoted = Mutex::new(loaded.demoted.into_iter().collect());
+        registry.journal = Some(journal);
         Ok(registry)
     }
 
-    /// Rebuilds one tenant from journaled (or demoted) parts: a fresh
-    /// session restored to the recorded state, byte accounting recounted.
-    fn tenant_from_parts(
-        &self,
-        tenant: &str,
-        secret: ConjunctiveQuery,
-        state: &SessionSnapshot,
-        snapshots: HashMap<String, SessionSnapshot>,
-        requests: u64,
-    ) -> Tenant {
-        let mut session = AuditSession::new(Arc::clone(&self.engine), secret, self.options.clone())
-            .named(format!("tenant:{tenant}"));
-        session.restore(state);
+    /// Rebuilds one tenant from its store record: a fresh session restored
+    /// to the recorded state, byte accounting recounted.
+    fn tenant_from_store(&self, stored: StoredTenant) -> Tenant {
+        let StoredTenant { record, snapshots } = stored;
+        let mut session = AuditSession::new(
+            Arc::clone(&self.engine),
+            record.secret,
+            self.options.clone(),
+        )
+        .named(format!("tenant:{}", record.tenant));
+        session.restore(&record.state);
         let mut t = Tenant {
             session,
             snapshots,
             last_used: Instant::now(),
-            requests,
+            requests: record.requests,
             bytes: 0,
             retired: false,
         };
@@ -458,15 +410,15 @@ impl SessionRegistry {
             }
             return Ok(Arc::clone(entry));
         }
-        // A demoted tenant revives transparently from its `expire` record —
+        // A demoted tenant revives transparently from its store record —
         // no secret required, exactly like a live session.
-        let demoted_seq = self
+        let demoted = self
             .demoted
             .lock()
             .expect("demoted index poisoned")
             .remove(tenant);
-        if let Some(seq) = demoted_seq {
-            match self.revive_demoted(tenant, seq, secret) {
+        if demoted {
+            match self.revive_demoted(tenant, secret) {
                 Ok(t) => {
                     let entry = Arc::new(Mutex::new(t));
                     map.insert(tenant.to_string(), Arc::clone(&entry));
@@ -476,7 +428,7 @@ impl SessionRegistry {
                     self.demoted
                         .lock()
                         .expect("demoted index poisoned")
-                        .insert(tenant.to_string(), seq);
+                        .insert(tenant.to_string());
                     return Err(e);
                 }
             }
@@ -502,69 +454,61 @@ impl SessionRegistry {
         Ok(entry)
     }
 
-    /// Fetches the demoted tenant's self-contained `expire` record and
-    /// rebuilds the live tenant from it.
+    /// Reads the demoted tenant's record and snapshots back from the store
+    /// and rebuilds the live tenant from them.
     fn revive_demoted(
         &self,
         tenant: &str,
-        seq: u64,
         secret: Option<&ConjunctiveQuery>,
     ) -> crate::Result<Tenant> {
         let journal = self
             .journal
             .as_ref()
             .ok_or_else(|| ServeError::Store("demoted tenant without a journal".to_string()))?;
-        let key = format!("{seq:016x}");
-        let bytes = journal
-            .store()
-            .get(NS_JOURNAL, &key)
-            .map_err(|e| ServeError::Store(format!("journal get: {e}")))?
-            .ok_or_else(|| ServeError::Store(format!("missing journal record {key}")))?;
-        let event = decode_event(&key, &bytes)?;
+        let stored = journal.stored(tenant)?;
         if let Some(secret) = secret {
-            if canonical_form(&event.secret) != canonical_form(secret) {
+            if canonical_form(&stored.record.secret) != canonical_form(secret) {
                 return Err(ServeError::SecretMismatch(tenant.to_string()));
             }
         }
-        Ok(self.tenant_from_parts(
-            tenant,
-            event.secret,
-            &event.state,
-            event.snapshots.unwrap_or_default(),
-            event.tenant_requests,
-        ))
+        Ok(self.tenant_from_store(stored))
     }
 
-    /// Appends one lifecycle event for a completed operation. A no-op
-    /// without a journal; with one, failures surface to the caller.
+    /// Writes `tenant`'s state after a completed operation (and the
+    /// snapshot a `snapshot` op captured under `snapshot_label`) to the
+    /// journal. A no-op without one; with one, failures surface to the
+    /// caller.
     fn journal_op(
         &self,
-        op: &'static str,
         tenant: &str,
         t: &Tenant,
-        snapshot_label: Option<String>,
+        snapshot_label: Option<&str>,
+        demoted: bool,
     ) -> crate::Result<()> {
         let Some(journal) = &self.journal else {
             return Ok(());
         };
-        journal
-            .append(&JournalEvent {
-                op: op.to_string(),
-                tenant: tenant.to_string(),
-                secret: t.session.secret().clone(),
-                state: t.session.snapshot(),
-                snapshot_label,
-                snapshots: None,
-                tenant_requests: t.requests,
-                registry_requests: self.requests.load(Ordering::Relaxed),
-                registry_expired: self.expired.load(Ordering::Relaxed),
-            })
-            .map(|_| ())
+        let mut labels: Vec<String> = t.snapshots.keys().cloned().collect();
+        labels.sort();
+        let record = TenantRecord {
+            tenant: tenant.to_string(),
+            secret: t.session.secret().clone(),
+            state: t.session.snapshot(),
+            requests: t.requests,
+            snapshots: labels,
+            demoted,
+            usage: Default::default(),
+        };
+        let snapshot = snapshot_label.and_then(|l| t.snapshots.get(l).map(|s| (l, s)));
+        let totals = RegistryRecord {
+            requests: self.requests.load(Ordering::Relaxed),
+            expired: self.expired.load(Ordering::Relaxed),
+        };
+        journal.write(record, snapshot, totals)
     }
 
     fn with_tenant<R>(
         &self,
-        op: &'static str,
         tenant: &str,
         secret: Option<&ConjunctiveQuery>,
         f: impl FnOnce(&mut Tenant) -> crate::Result<(R, Option<String>)>,
@@ -586,7 +530,7 @@ impl SessionRegistry {
                 (f.take().expect("operation retried after success"))(&mut t)?;
             t.last_used = Instant::now();
             t.requests += 1;
-            self.journal_op(op, tenant, &t, snapshot_label)?;
+            self.journal_op(tenant, &t, snapshot_label.as_deref(), false)?;
             return Ok(out);
         }
     }
@@ -594,7 +538,7 @@ impl SessionRegistry {
     /// Opens (or re-validates) `tenant`'s session for `secret` without
     /// auditing anything.
     pub fn open(&self, tenant: &str, secret: &ConjunctiveQuery) -> crate::Result<usize> {
-        self.with_tenant("open", tenant, Some(secret), |t| {
+        self.with_tenant(tenant, Some(secret), |t| {
             Ok((t.session.views_published(), None))
         })
     }
@@ -609,7 +553,7 @@ impl SessionRegistry {
         name: Option<String>,
         view: ConjunctiveQuery,
     ) -> crate::Result<SessionReport> {
-        self.with_tenant("publish", tenant, secret, |t| {
+        self.with_tenant(tenant, secret, |t| {
             let name = name.unwrap_or_else(|| view.name.clone());
             let report = t.session.publish_named(name, view)?;
             let committed = t.session.published().last().expect("just published");
@@ -625,7 +569,7 @@ impl SessionRegistry {
         secret: Option<&ConjunctiveQuery>,
         view: &ConjunctiveQuery,
     ) -> crate::Result<SessionReport> {
-        self.with_tenant("candidate", tenant, secret, |t| {
+        self.with_tenant(tenant, secret, |t| {
             Ok((t.session.audit_candidate(view)?, None))
         })
     }
@@ -633,7 +577,7 @@ impl SessionRegistry {
     /// Saves `tenant`'s session state under `label`; returns the number of
     /// views in the captured state.
     pub fn snapshot(&self, tenant: &str, label: &str) -> crate::Result<usize> {
-        self.with_tenant("snapshot", tenant, None, |t| {
+        self.with_tenant(tenant, None, |t| {
             let snap = t.session.snapshot();
             let views = snap.views_published();
             t.bytes += approx_bytes(&snap);
@@ -648,7 +592,7 @@ impl SessionRegistry {
     /// restored view count. Engine artifacts evicted since the snapshot are
     /// re-derived transparently on the next audit.
     pub fn restore(&self, tenant: &str, label: &str) -> crate::Result<usize> {
-        self.with_tenant("restore", tenant, None, |t| {
+        self.with_tenant(tenant, None, |t| {
             let snap = t
                 .snapshots
                 .get(label)
@@ -660,30 +604,17 @@ impl SessionRegistry {
         })
     }
 
-    /// Demotes one expiring tenant to the store: appends a self-contained
-    /// `expire` record and keeps only its sequence number resident. Append
-    /// failures are swallowed — the tenant then replays as live from its
-    /// last regular event, which is still correct, just not demoted.
+    /// Demotes one expiring tenant to the store: rewrites its record with
+    /// `demoted: true` (its snapshots already sit under their own keys) and
+    /// keeps only its id resident. Write failures are swallowed — the
+    /// tenant then reloads as live from its last record, which is still
+    /// correct, just not demoted.
     fn demote_expired(&self, tenant: &str, t: &Tenant) {
-        let Some(journal) = &self.journal else {
-            return;
-        };
-        let appended = journal.append(&JournalEvent {
-            op: "expire".to_string(),
-            tenant: tenant.to_string(),
-            secret: t.session.secret().clone(),
-            state: t.session.snapshot(),
-            snapshot_label: None,
-            snapshots: Some(t.snapshots.clone()),
-            tenant_requests: t.requests,
-            registry_requests: self.requests.load(Ordering::Relaxed),
-            registry_expired: self.expired.load(Ordering::Relaxed),
-        });
-        if let Ok(seq) = appended {
+        if self.journal.is_some() && self.journal_op(tenant, t, None, true).is_ok() {
             self.demoted
                 .lock()
                 .expect("demoted index poisoned")
-                .insert(tenant.to_string(), seq);
+                .insert(tenant.to_string());
         }
     }
 
@@ -699,8 +630,8 @@ impl SessionRegistry {
         for (id, entry) in map.iter() {
             if let Ok(mut t) = entry.try_lock() {
                 if now.duration_since(t.last_used) > max_idle {
-                    // Counted before journaling, so the expire event's
-                    // running total includes this very expiry.
+                    // Counted before journaling, so the demoted record's
+                    // registry totals include this very expiry.
                     self.expired.fetch_add(1, Ordering::Relaxed);
                     self.demote_expired(id, &t);
                     // Marked under the tenant lock: a request that cloned
@@ -777,30 +708,27 @@ impl SessionRegistry {
                 });
             }
         }
-        // Demoted tenants report from their self-contained expire record; a
-        // record that fails to fetch is skipped (it will fail the same way —
-        // loudly — when the tenant's next request tries to revive it).
-        let demoted: Vec<(String, u64)> = self
+        // Demoted tenants report from their store record; a record that
+        // fails to fetch is skipped (it will fail the same way — loudly —
+        // when the tenant's next request tries to revive it).
+        let demoted: Vec<String> = self
             .demoted
             .lock()
             .expect("demoted index poisoned")
             .iter()
-            .map(|(id, seq)| (id.clone(), *seq))
+            .cloned()
             .collect();
-        for (id, seq) in demoted {
+        for id in demoted {
             let Some(journal) = &self.journal else { break };
-            let Ok(Some(bytes)) = journal.store().get(NS_JOURNAL, &format!("{seq:016x}")) else {
-                continue;
-            };
-            let Ok(event) = decode_event(&format!("{seq:016x}"), &bytes) else {
+            let Ok(record) = journal.record(&id) else {
                 continue;
             };
             let u = usage(&id);
             tenants.push(TenantStats {
                 tenant: id,
-                views_published: event.state.views_published(),
-                snapshots_held: event.snapshots.as_ref().map(|s| s.len()).unwrap_or(0),
-                requests: event.tenant_requests,
+                views_published: record.state.views_published(),
+                snapshots_held: record.snapshots.len(),
+                requests: record.requests,
                 approx_bytes: 0,
                 store_records: u.records,
                 store_bytes: u.bytes,
@@ -879,6 +807,7 @@ pub struct RegistryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{decode_event, NS_JOURNAL};
     use qvsec_data::{Domain, Schema};
 
     fn engine() -> Arc<AuditEngine> {
@@ -1271,6 +1200,139 @@ mod tests {
                     "the published view rehydrated: {line}"
                 );
             }
+        }
+    }
+
+    /// The event an earlier release journaled after `op` on `tenant` of
+    /// `reg`, carrying the tenant's state as that release's `journal_op`
+    /// and `demote_expired` wrote it.
+    fn legacy_event(reg: &SessionRegistry, op: &str, tenant: &str, label: Option<&str>) -> String {
+        let entry = Arc::clone(&reg.shard_of(tenant).lock().unwrap()[tenant]);
+        let t = entry.lock().unwrap();
+        serde_json::to_string(&crate::journal::JournalEvent {
+            op: op.to_string(),
+            tenant: tenant.to_string(),
+            secret: t.session.secret().clone(),
+            state: t.session.snapshot(),
+            snapshot_label: label.map(str::to_string),
+            snapshots: (op == "expire").then(|| t.snapshots.clone()),
+            tenant_requests: t.requests,
+            registry_requests: reg.requests.load(Ordering::Relaxed),
+            registry_expired: reg.expired.load(Ordering::Relaxed) + u64::from(op == "expire"),
+        })
+        .unwrap()
+    }
+
+    fn journal_keys(store: &Arc<dyn StoreBackend>) -> Vec<String> {
+        store
+            .scan(NS_JOURNAL)
+            .unwrap()
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect()
+    }
+
+    #[test]
+    fn a_sequence_keyed_journal_migrates_once_and_reloads_identically() {
+        use crate::protocol::handle_request;
+
+        // A sequence-keyed log in the format of the previous release: two
+        // tenants with labelled snapshots, the second demoted by expiry.
+        let reg = registry();
+        let secret = reg.parse("S(n, p) :- Employee(n, d, p)").unwrap();
+        let v1 = reg.parse("V1(n, d) :- Employee(n, d, p)").unwrap();
+        let v2 = reg.parse("V2(d, p) :- Employee(n, d, p)").unwrap();
+        let mut log = Vec::new();
+        reg.publish("alice", Some(&secret), None, v1.clone())
+            .unwrap();
+        log.push(legacy_event(&reg, "publish", "alice", None));
+        reg.snapshot("alice", "base").unwrap();
+        log.push(legacy_event(&reg, "snapshot", "alice", Some("base")));
+        reg.publish("alice", None, None, v2).unwrap();
+        log.push(legacy_event(&reg, "publish", "alice", None));
+        reg.publish("bob", Some(&secret), None, v1).unwrap();
+        log.push(legacy_event(&reg, "publish", "bob", None));
+        reg.snapshot("bob", "b/1").unwrap();
+        log.push(legacy_event(&reg, "snapshot", "bob", Some("b/1")));
+        log.push(legacy_event(&reg, "expire", "bob", None));
+
+        // The first restart migrates it: no sequence key is left.
+        let store = seeded_store(&log);
+        let first = durable_registry(&store);
+        assert_eq!(
+            journal_keys(&store),
+            [
+                "registry",
+                "snapshot/alice/base",
+                "snapshot/bob/b%2f1",
+                "tenant/alice",
+                "tenant/bob"
+            ]
+        );
+        let stats = first.stats();
+        assert_eq!((stats.requests_served, stats.sessions_expired), (5, 1));
+        assert_eq!(stats.journal_records, 6);
+        let [alice, bob] = &stats.tenants[..] else {
+            panic!("two tenants migrate: {stats:?}")
+        };
+        assert_eq!((alice.views_published, alice.snapshots_held), (2, 1));
+        assert!(!alice.demoted);
+        assert_eq!((bob.views_published, bob.snapshots_held), (1, 1));
+        assert!(bob.demoted);
+
+        // A second restart, over a store already migrated, answers the rest
+        // of the script byte for byte like the first, stats included.
+        let migrated = seeded_store(&log);
+        drop(durable_registry(&migrated));
+        let second = durable_registry(&migrated);
+        let script = [
+            r#"{"op": "stats"}"#,
+            r#"{"op": "candidate", "tenant": "alice", "view": "V3(n) :- Employee(n, d, p)"}"#,
+            r#"{"op": "restore", "tenant": "alice", "label": "base"}"#,
+            r#"{"op": "candidate", "tenant": "bob", "view": "V2(d, p) :- Employee(n, d, p)"}"#,
+            r#"{"op": "restore", "tenant": "bob", "label": "b/1"}"#,
+            r#"{"op": "stats"}"#,
+        ];
+        for line in script {
+            let (a, _) = handle_request(&first, line);
+            let (b, _) = handle_request(&second, line);
+            assert_eq!(a.field("ok"), &serde_json::Value::Bool(true), "{a:?}");
+            assert_eq!(
+                serde_json::to_string(&a).unwrap(),
+                serde_json::to_string(&b).unwrap(),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn tenant_ids_and_labels_with_slashes_and_percents_never_share_a_key() {
+        let store: Arc<dyn StoreBackend> = Arc::new(qvsec_store::MemStore::new());
+        let reg = durable_registry(&store);
+        let secret = reg.parse("S(n, p) :- Employee(n, d, p)").unwrap();
+        let views: Vec<ConjunctiveQuery> = ["V1(n, d)", "V2(d, p)", "V3(n)", "V4(p)", "V5(d)"]
+            .iter()
+            .map(|h| reg.parse(&format!("{h} :- Employee(n, d, p)")).unwrap())
+            .collect();
+        // Joined naively as `<tenant>/<label>`, all four collide.
+        let pairs = [("a/b", "c"), ("a", "b/c"), ("a%2fb", "c"), ("a%2Fb", "c")];
+        for (i, (tenant, label)) in pairs.iter().enumerate() {
+            for view in &views[..=i] {
+                reg.publish(tenant, Some(&secret), None, view.clone())
+                    .unwrap();
+            }
+            reg.snapshot(tenant, label).unwrap();
+            reg.publish(tenant, None, None, views[4].clone()).unwrap();
+        }
+        // One record per tenant and per snapshot, plus the registry's.
+        assert_eq!(journal_keys(&store).len(), 2 * pairs.len() + 1);
+        let before = serde_json::to_string(&reg.stats()).unwrap();
+        drop(reg);
+
+        let reg = durable_registry(&store);
+        assert_eq!(serde_json::to_string(&reg.stats()).unwrap(), before);
+        for (i, (tenant, label)) in pairs.iter().enumerate() {
+            assert_eq!(reg.restore(tenant, label).unwrap(), i + 1, "{tenant}");
         }
     }
 

@@ -12,15 +12,20 @@
 //!   identical to running without a store at all.
 //! * [`LogStore`] — one append-only file per namespace with length-prefixed
 //!   and checksummed records, crash-tolerant truncated-tail recovery and
-//!   threshold-triggered compaction. The production-shaped backend.
+//!   threshold-triggered compaction. The production-shaped backend. It is
+//!   memory-resident: each loaded namespace's live values stay in memory.
 //!
 //! Callers never see which backend they run over. The serving registry
-//! journals tenant lifecycle events into one namespace per registry, and
-//! that journal is all it stores (compiled artifacts are recomputed, never
-//! persisted). It only assumes the trait contract:
+//! keeps its tenants' latest state in one namespace, keyed by tenant and
+//! overwritten in place, and that state is all it stores (compiled
+//! artifacts are recomputed, never persisted). It only assumes the trait
+//! contract:
 //!
-//! * `scan` returns entries in ascending key order, so a journal keyed by
-//!   fixed-width sequence numbers replays in append order;
+//! * `scan` returns the live entries in ascending key order — a key's
+//!   latest put, none for a deleted key — so a restart reads the current
+//!   state, not the history that led to it (and the fixed-width sequence
+//!   keys of journals written by earlier releases come back in append
+//!   order, which is how they are migrated);
 //! * `append_batch` is atomic — after a crash, either the whole batch is
 //!   recovered or none of it (the [`LogStore`] frames a batch as a single
 //!   checksummed record and truncates any torn tail on reopen).
@@ -207,8 +212,10 @@ pub fn open_store(config: &StoreConfig) -> Result<Arc<dyn StoreBackend>> {
 }
 
 /// Encodes a namespace (or any key-ish string) into a filesystem-safe file
-/// name: `[A-Za-z0-9._-]` pass through, everything else becomes `%XX`.
-pub(crate) fn encode_component(name: &str) -> String {
+/// name: `[A-Za-z0-9._-]` pass through, everything else becomes `%XX`. The
+/// encoding is injective and its output never holds `/`, so callers also
+/// use it to join client-chosen parts into one key without collisions.
+pub fn encode_component(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for b in name.bytes() {
         match b {

@@ -25,6 +25,12 @@
 //! it was loaded), so a live set past the threshold — an append-only
 //! journal, say — is rewritten O(log n) times, not on every append.
 //!
+//! Residency: a namespace file is read whole on first touch — every record
+//! checksummed, superseded values dropped — and its live entries stay in
+//! memory, so `get` and `scan` never read the file again. A namespace
+//! costs memory in proportion to its live set, not its history: for the
+//! serving registry's tenant state, O(tenants + snapshots).
+//!
 //! Durability: appends are written, not synced, so they survive the
 //! process being killed at any point. [`flush`](crate::StoreBackend::flush)
 //! syncs every loaded namespace file and then the root directory (so a

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use qvsec::engine::AuditEngine;
 use qvsec_data::{Domain, Schema};
 use qvsec_serve::protocol::handle_request;
-use qvsec_serve::{RegistryConfig, SessionRegistry};
+use qvsec_serve::{RegistryConfig, SessionRegistry, NS_JOURNAL};
 use qvsec_store::{LogStore, MemStore, StoreBackend, DEFAULT_COMPACT_THRESHOLD};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -330,5 +330,76 @@ fn a_durable_store_holds_the_journal_and_nothing_else() {
         .collect();
     files.sort();
     assert_eq!(files, ["registry%2fjournal.log"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// Tenant state is keyed by tenant and overwritten in place: however long a
+// script runs, the store holds one record per tenant, one per labelled
+// snapshot and one for the registry totals, and a restart over it answers
+// the rest of the script byte-identically to the uninterrupted process.
+#[test]
+fn a_long_history_leaves_one_record_per_tenant_and_snapshot() {
+    let mut history: Vec<String> = TENANTS
+        .iter()
+        .map(|t| format!(r#"{{"op": "open", "tenant": "{t}", "secret": "{SECRET}"}}"#))
+        .collect();
+    let views = [
+        "V0(x0) :- R(x0, y0)",
+        "V1(x0) :- R(x0, 'a')",
+        "V2() :- R('a', 'b')",
+    ];
+    for cycle in 0..50 {
+        for tenant in TENANTS {
+            let label = LABELS[cycle % 2];
+            let view = views[cycle % 3];
+            history.extend([
+                format!(r#"{{"op": "snapshot", "tenant": "{tenant}", "label": "{label}"}}"#),
+                format!(r#"{{"op": "publish", "tenant": "{tenant}", "view": "{view}"}}"#),
+                format!(r#"{{"op": "restore", "tenant": "{tenant}", "label": "{label}"}}"#),
+            ]);
+        }
+    }
+    let rest = [
+        r#"{"op": "publish", "tenant": "alice", "view": "V0(x0) :- R(x0, y0)"}"#.to_string(),
+        r#"{"op": "candidate", "tenant": "bravo", "view": "V2() :- R('a', 'b')"}"#.to_string(),
+        r#"{"op": "restore", "tenant": "alice", "label": "mid"}"#.to_string(),
+        r#"{"op": "stats"}"#.to_string(),
+    ];
+    let lines: Vec<String> = history.iter().chain(&rest).cloned().collect();
+    let baseline_dir = scratch_dir("keyed-baseline");
+    let baseline = run_uninterrupted(&log_store(&baseline_dir), &lines);
+
+    let dir = scratch_dir("keyed");
+    {
+        let registry = registry_over(&log_store(&dir));
+        for line in &history {
+            let response = respond(&registry, line);
+            assert!(response.contains(r#""ok":true"#), "{line} -> {response}");
+        }
+    }
+    let store = log_store(&dir);
+    let keys: Vec<String> = store
+        .scan(NS_JOURNAL)
+        .expect("scan")
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "registry",
+            "snapshot/alice/base",
+            "snapshot/alice/mid",
+            "snapshot/bravo/base",
+            "snapshot/bravo/mid",
+            "tenant/alice",
+            "tenant/bravo"
+        ]
+    );
+    let rehydrated = registry_over(&store);
+    let responses: Vec<String> = rest.iter().map(|l| respond(&rehydrated, l)).collect();
+    assert_eq!(responses, baseline[history.len()..]);
+
+    let _ = std::fs::remove_dir_all(&baseline_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
