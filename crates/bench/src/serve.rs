@@ -850,7 +850,7 @@ pub fn render_report(report: &ServeBenchReport) -> String {
     let s = &report.saturation;
     let _ = writeln!(
         out,
-        "saturation: pipelined keep-alive connections ({} requests/conn, {} cores):",
+        "saturation: concurrent keep-alive connections ({} requests/conn, {} cores):",
         s.requests_per_connection, s.cores
     );
     let _ = writeln!(

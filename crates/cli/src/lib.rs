@@ -762,16 +762,14 @@ pub struct ServerSpec {
     /// with a `server_at_capacity` notice (default 1024). The CLI's
     /// `--max-connections <N>` flag overrides this.
     pub max_connections: Option<usize>,
-    /// Per-connection pipelining depth: how many parsed-but-unanswered
-    /// requests the reader may run ahead of the processor (default 64).
-    pub max_inflight: Option<usize>,
     /// Keep-alive limit: close (with a `request_limit` notice) after this
     /// many requests on one connection.
     pub max_requests_per_conn: Option<u64>,
     /// Keep-alive limit: close (with a `byte_limit` notice) after this
     /// many request bytes on one connection.
     pub max_bytes_per_conn: Option<u64>,
-    /// Drop connections idle longer than this many milliseconds with an
+    /// Drop connections that send no bytes for this many milliseconds
+    /// while the server waits for their next request, with an
     /// `idle_timeout` notice. Distinct from the registry-level
     /// `idle_timeout_secs`, which expires tenant *sessions*, not sockets.
     pub conn_idle_timeout_millis: Option<u64>,
@@ -794,7 +792,6 @@ pub fn server_config(
         max_connections: max_connections_override
             .or(block.max_connections)
             .unwrap_or(defaults.max_connections),
-        max_inflight: block.max_inflight.unwrap_or(defaults.max_inflight),
         max_requests_per_conn: block.max_requests_per_conn,
         max_bytes_per_conn: block.max_bytes_per_conn,
         idle_timeout: block

@@ -225,7 +225,8 @@ fn serves_the_committed_request_script_deterministically() {
     );
     let alice = &stats.field("tenants").as_array().unwrap()[0];
     assert_eq!(alice.field("tenant").as_str(), Some("alice"));
-    assert!(alice.field("approx_bytes").as_int().unwrap() > 0);
+    assert_eq!(alice.field("views_published").as_int(), Some(2));
+    assert_eq!(alice.field("snapshots_held").as_int(), Some(1));
 }
 
 #[test]

@@ -4,10 +4,8 @@
 //! `specs/table1_sql.json` and `specs/serve_requests_sql.ndjson` restate
 //! `specs/table1.json` and `specs/serve_requests.ndjson` in the safe-SQL
 //! front end. Because both spellings compile to the same canonical
-//! conjunctive queries, the reports they produce must be byte-identical —
-//! the only tolerated difference is per-tenant `approx_bytes` accounting,
-//! which measures the *serialized* queries (variable names included, by
-//! design). CI replays the same pair over a real TCP server.
+//! conjunctive queries, the responses they produce must be byte-identical.
+//! CI replays the same pair over a real TCP server.
 
 use serde_json::Value;
 use std::path::PathBuf;
@@ -34,23 +32,6 @@ fn table1_sql_spec_reports_are_byte_identical_to_the_datalog_original() {
     );
 }
 
-/// Strips the members that legitimately differ between the two front ends:
-/// `approx_bytes` counts serialized query bytes, and serialized queries
-/// keep their (cosmetic, canonicalized-away) variable names.
-fn without_approx_bytes(value: &Value) -> Value {
-    match value {
-        Value::Object(entries) => Value::Object(
-            entries
-                .iter()
-                .filter(|(k, _)| k != "approx_bytes")
-                .map(|(k, v)| (k.clone(), without_approx_bytes(v)))
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.iter().map(without_approx_bytes).collect()),
-        other => other.clone(),
-    }
-}
-
 #[test]
 fn serve_request_sql_script_responses_match_the_datalog_script() {
     let spec = qvsec_cli::parse_serve_spec(&read_spec("serve_employee.json")).unwrap();
@@ -67,7 +48,7 @@ fn serve_request_sql_script_responses_match_the_datalog_script() {
                     &Value::Bool(true),
                     "{line} -> {response:?}"
                 );
-                serde_json::to_string(&without_approx_bytes(&response)).unwrap()
+                serde_json::to_string(&response).unwrap()
             })
             .collect()
     };

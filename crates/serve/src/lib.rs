@@ -9,17 +9,18 @@
 //!   id → [`qvsec::AuditSession`] over one shared [`qvsec::AuditEngine`].
 //!   Tenants are hashed onto independent shard locks (and each tenant has
 //!   its own session lock), so concurrent tenants never contend; idle
-//!   sessions expire; per-tenant request and byte accounting is surfaced
-//!   through [`registry::RegistryStats`] next to the engine's extended
-//!   cache counters (hits, misses, evictions, resident bytes).
+//!   sessions expire; per-tenant accounting (views published, snapshots
+//!   held, requests, journal footprint) is surfaced through
+//!   [`registry::RegistryStats`]. The engine's cache counters are not part
+//!   of it: they live in the metrics plane ([`metrics::collect_metrics`]).
 //! * a newline-delimited-JSON TCP front end ([`server::Server`]) — a
-//!   `std::net::TcpListener` with a fixed worker-thread pool, speaking the
-//!   request/response schema of [`protocol`] (`publish` / `candidate` /
-//!   `snapshot` / `restore` / `stats`, mirroring the CLI session-script
-//!   steps, plus the `qvsec-sql` front end: queries and secrets in safe-SQL
-//!   form, a `sql` analysis op, and `show_tables` / `show_columns` schema
-//!   introspection). No async runtime: plain blocking sockets and threads,
-//!   like the rest of the workspace.
+//!   `std::net::TcpListener` that serves each connection on a thread of
+//!   its own, speaking the request/response schema of [`protocol`]
+//!   (`publish` / `candidate` / `snapshot` / `restore` / `stats`, mirroring
+//!   the CLI session-script steps, plus the `qvsec-sql` front end: queries
+//!   and secrets in safe-SQL form, a `sql` analysis op, and `show_tables` /
+//!   `show_columns` schema introspection). No async runtime: plain blocking
+//!   sockets and threads, like the rest of the workspace.
 //!
 //! Because every tenant shares the engine's compiled artifacts — crit sets,
 //! candidate spaces, class verdicts, witness-mask compilations, the Monte-
@@ -43,7 +44,7 @@ pub use journal::{TenantStoreUsage, NS_JOURNAL};
 pub use metrics::{collect_metrics, serve_metrics_http};
 pub use protocol::{
     closing_notice, error_response, error_response_with_detail, handle_request,
-    handle_request_traced, handle_request_with, ErrorKind, WireRequest, PROTOCOL_VERSION,
+    handle_request_traced, ErrorKind, WireRequest, PROTOCOL_VERSION,
 };
 pub use registry::{RegistryConfig, RegistryStats, ServeError, SessionRegistry, TenantStats};
 pub use server::{

@@ -15,10 +15,20 @@
 use crate::registry::SessionRegistry;
 use crate::server::ServerCounters;
 use qvsec_obs::MetricsSnapshot;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
+
+/// How long one scrape may take to send its request head. Scrapes are
+/// answered one at a time, so this bounds how long a client that connects
+/// and sends nothing holds up every scrape behind it.
+const SCRAPE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Cap on one scrape's request head (request line plus headers), in bytes;
+/// reading stops there, so a head with no end costs constant memory.
+const MAX_SCRAPE_HEAD_BYTES: usize = 8 << 10;
 
 /// One unified snapshot: the global obs registry (counters + span
 /// histograms) plus every legacy counter bag merged in as gauges.
@@ -64,34 +74,52 @@ pub fn collect_metrics(
             s.closed_request_limit,
         );
         snap.set_gauge("serve.connections.closed_byte_limit", s.closed_byte_limit);
-        snap.set_gauge("serve.requests_pipelined", s.requests_pipelined);
         snap.set_gauge("serve.responses_written", s.responses_written);
-        snap.set_gauge("serve.queue_depth", s.queue_depth);
-        snap.set_gauge("serve.inflight_peak", s.inflight_peak);
     }
 
     snap
 }
 
-/// Answers one HTTP exchange on `stream`: any well-formed GET gets a
-/// `200 text/plain` Prometheus exposition; anything else gets a 400/405.
-fn answer_scrape(
-    stream: TcpStream,
-    registry: &SessionRegistry,
-    counters: &ServerCounters,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers so well-behaved clients see a clean close.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
+/// Reads an HTTP request head — through the blank line that ends the
+/// headers, EOF, or [`MAX_SCRAPE_HEAD_BYTES`], whichever comes first —
+/// failing with `TimedOut` once [`SCRAPE_DEADLINE`] has passed.
+fn read_head(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+    let deadline = Instant::now() + SCRAPE_DEADLINE;
+    let mut head = Vec::new();
+    let mut chunk = [0u8; 1024];
+    let ended = |head: &[u8]| {
+        head.windows(2).any(|w| w == b"\n\n") || head.windows(4).any(|w| w == b"\r\n\r\n")
+    };
+    while head.len() < MAX_SCRAPE_HEAD_BYTES && !ended(&head) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        let room = chunk.len().min(MAX_SCRAPE_HEAD_BYTES - head.len());
+        match stream.read(&mut chunk[..room])? {
+            0 => break,
+            n => head.extend_from_slice(&chunk[..n]),
         }
     }
-    let mut stream = reader.into_inner();
-    let (status, body) = match request_line.split_whitespace().next() {
+    Ok(head)
+}
+
+/// Answers one HTTP exchange on `stream`: any well-formed GET gets a
+/// `200 text/plain` Prometheus exposition; anything else gets a 400/405.
+/// A client that has not sent its request head by [`SCRAPE_DEADLINE`] is
+/// dropped unanswered.
+fn answer_scrape(
+    mut stream: TcpStream,
+    registry: &SessionRegistry,
+    counters: &ServerCounters,
+) -> io::Result<()> {
+    let head = read_head(&mut stream)?;
+    let request_line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    let (status, body) = match String::from_utf8_lossy(request_line)
+        .split_whitespace()
+        .next()
+    {
         Some("GET") => (
             "200 OK",
             collect_metrics(registry, Some(counters)).to_prometheus(),
@@ -99,6 +127,7 @@ fn answer_scrape(
         Some(_) => ("405 Method Not Allowed", String::from("GET only\n")),
         None => ("400 Bad Request", String::from("empty request\n")),
     };
+    stream.set_write_timeout(Some(SCRAPE_DEADLINE))?;
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -155,7 +184,7 @@ mod tests {
         assert!(snap.gauges.contains_key("cache.crit.hits"));
         assert!(snap.gauges.contains_key("kernel.mc.samples_drawn"));
         assert!(
-            !snap.gauges.contains_key("serve.requests_pipelined"),
+            !snap.gauges.contains_key("serve.responses_written"),
             "server gauges only appear when counters are supplied"
         );
     }
@@ -174,6 +203,31 @@ mod tests {
         assert!(body.starts_with("HTTP/1.1 200 OK"));
         assert!(body.contains("text/plain"));
         assert!(body.contains("qvsec_registry_tenants 0"));
+    }
+
+    #[test]
+    fn a_silent_client_does_not_wedge_later_scrapes() {
+        let registry = Arc::new(sample_registry());
+        let counters = Arc::new(ServerCounters::default());
+        let addr = serve_metrics_http("127.0.0.1:0", registry, counters).unwrap();
+        // Connects first and sends nothing: its scrape holds the plane's
+        // only thread until the deadline drops it.
+        let _silent = TcpStream::connect(addr).unwrap();
+        let start = Instant::now();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // The client's own bound, so a wedged plane fails the test rather
+        // than hanging it.
+        let bound = SCRAPE_DEADLINE * 3;
+        stream.set_read_timeout(Some(bound)).unwrap();
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut body = String::new();
+        stream
+            .read_to_string(&mut body)
+            .expect("the second scrape is answered while the silent client stays connected");
+        assert!(body.starts_with("HTTP/1.1 200 OK"), "{body}");
+        assert!(start.elapsed() < bound);
     }
 
     #[test]

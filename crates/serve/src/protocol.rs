@@ -467,15 +467,9 @@ fn compile_show_canonical(
     source: &str,
     name: &str,
 ) -> crate::Result<Vec<ConjunctiveQuery>> {
-    let engine = registry.engine();
-    let mut domain = engine.domain().clone();
-    let before = domain.len();
-    let queries = qvsec_sql::compile_select(stmt, engine.schema(), &mut domain, name, source)
-        .map_err(ServeError::Sql)?;
-    if domain.len() != before {
-        return Err(ServeError::UndeclaredConstant(source.to_string()));
-    }
-    Ok(queries)
+    registry.compile_closed(source, |schema, domain| {
+        qvsec_sql::compile_select(stmt, schema, domain, name, source).map_err(ServeError::Sql)
+    })
 }
 
 fn dispatch(
@@ -738,21 +732,12 @@ pub fn handle_request_traced(
     (response, shutdown, summary)
 }
 
-/// [`handle_request_traced`] without the trace summary — the plain
-/// dispatch entry point.
-pub fn handle_request_with(
-    registry: &SessionRegistry,
-    counters: Option<&ServerCounters>,
-    line: &str,
-) -> (Value, bool) {
-    let (response, shutdown, _) = handle_request_traced(registry, counters, line);
-    (response, shutdown)
-}
-
-/// [`handle_request_with`] without connection counters — the embedded
-/// (in-process) entry point used by tests and the bench harness.
+/// [`handle_request_traced`] without connection counters or the trace
+/// summary — the embedded (in-process) entry point used by tests and the
+/// bench harness.
 pub fn handle_request(registry: &SessionRegistry, line: &str) -> (Value, bool) {
-    handle_request_with(registry, None, line)
+    let (response, shutdown, _) = handle_request_traced(registry, None, line);
+    (response, shutdown)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!
 //! The registry also owns what the engine does not: per-tenant labelled
 //! snapshots (the wire protocol's `snapshot`/`restore`), per-tenant request
-//! and byte accounting, and idle expiry ([`SessionRegistry::sweep_idle`]) —
+//! accounting, and idle expiry ([`SessionRegistry::sweep_idle`]) —
 //! an expired tenant's next request simply reopens its session against the
 //! still-warm engine caches. Eviction of engine artifacts is equally
 //! transparent: a restored session re-derives anything evicted (see
@@ -23,6 +23,7 @@ use qvsec::engine::{AuditEngine, AuditOptions};
 use qvsec::session::{AuditSession, SessionReport, SessionSnapshot};
 use qvsec::QvsError;
 use qvsec_cq::{canonical_form, ConjunctiveQuery};
+use qvsec_data::{Domain, Schema};
 use qvsec_store::StoreBackend;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -146,40 +147,12 @@ struct Tenant {
     snapshots: HashMap<String, SessionSnapshot>,
     last_used: Instant,
     requests: u64,
-    /// Approximate bytes of published-view and snapshot state this tenant
-    /// pins (serialized size; recomputed after each mutating operation).
-    bytes: u64,
     /// Set (under the tenant lock) when idle expiry demotes this tenant:
     /// its state has already moved to the journal and the entry left the
     /// shard map, so any request that raced past the map lookup must
     /// re-dispatch instead of mutating this zombie — a mutation here would
     /// be silently lost at the next revival.
     retired: bool,
-}
-
-impl Tenant {
-    /// Recomputes the byte estimate from scratch (used after `restore`,
-    /// which rewinds the published prefix; the common ops account
-    /// incrementally instead of re-serializing the whole prefix).
-    fn recount_bytes(&mut self) {
-        let published: usize = self
-            .session
-            .published()
-            .iter()
-            .map(|p| serde_json::to_string(p).map(|s| s.len()).unwrap_or(0))
-            .sum();
-        let snapshots: usize = self
-            .snapshots
-            .values()
-            .map(|s| serde_json::to_string(s).map(|t| t.len()).unwrap_or(0))
-            .sum();
-        self.bytes = (published + snapshots) as u64;
-    }
-}
-
-/// Serialized size of a value, as the registry's byte-accounting unit.
-fn approx_bytes<T: serde::Serialize>(value: &T) -> u64 {
-    serde_json::to_string(value).map(|s| s.len()).unwrap_or(0) as u64
 }
 
 type Shard = Mutex<HashMap<String, Arc<Mutex<Tenant>>>>;
@@ -284,7 +257,7 @@ impl SessionRegistry {
     }
 
     /// Rebuilds one tenant from its store record: a fresh session restored
-    /// to the recorded state, byte accounting recounted.
+    /// to the recorded state.
     fn tenant_from_store(&self, stored: StoredTenant) -> Tenant {
         let StoredTenant { record, snapshots } = stored;
         let mut session = AuditSession::new(
@@ -294,16 +267,13 @@ impl SessionRegistry {
         )
         .named(format!("tenant:{}", record.tenant));
         session.restore(&record.state);
-        let mut t = Tenant {
+        Tenant {
             session,
             snapshots,
             last_used: Instant::now(),
             requests: record.requests,
-            bytes: 0,
             retired: false,
-        };
-        t.recount_bytes();
-        t
+        }
     }
 
     /// The shared engine every tenant audits against.
@@ -331,19 +301,33 @@ impl SessionRegistry {
             .sum()
     }
 
+    /// Runs `compile` against a copy of the engine's domain and refuses the
+    /// result, as [`ServeError::UndeclaredConstant`] naming `text`, when the
+    /// copy grew — the closed-domain policy of [`SessionRegistry::parse`].
+    /// Every query a request carries goes through here.
+    pub(crate) fn compile_closed<T>(
+        &self,
+        text: &str,
+        compile: impl FnOnce(&Schema, &mut Domain) -> crate::Result<T>,
+    ) -> crate::Result<T> {
+        let mut domain = self.engine.domain().clone();
+        let before = domain.len();
+        let compiled = compile(self.engine.schema(), &mut domain)?;
+        if domain.len() != before {
+            return Err(ServeError::UndeclaredConstant(text.to_string()));
+        }
+        Ok(compiled)
+    }
+
     /// Parses a runtime query against the engine's schema and domain,
     /// rejecting queries that mention constants the server never declared
     /// (the engine's domain is fixed at build time; silently growing a
     /// private copy would make verdicts depend on request order).
     pub fn parse(&self, text: &str) -> crate::Result<ConjunctiveQuery> {
-        let mut domain = self.engine.domain().clone();
-        let before = domain.len();
-        let query = qvsec_cq::parse_query(text, self.engine.schema(), &mut domain)
-            .map_err(|e| ServeError::Parse(format!("bad query `{text}`: {e}")))?;
-        if domain.len() != before {
-            return Err(ServeError::UndeclaredConstant(text.to_string()));
-        }
-        Ok(query)
+        self.compile_closed(text, |schema, domain| {
+            qvsec_cq::parse_query(text, schema, domain)
+                .map_err(|e| ServeError::Parse(format!("bad query `{text}`: {e}")))
+        })
     }
 
     /// Compiles a safe-SQL statement against the engine's schema, applying
@@ -352,14 +336,9 @@ impl SessionRegistry {
     /// than silently growing a private domain copy. `IN`-lists expand to
     /// one query per choice.
     pub fn parse_sql(&self, text: &str, name: &str) -> crate::Result<Vec<ConjunctiveQuery>> {
-        let mut domain = self.engine.domain().clone();
-        let before = domain.len();
-        let queries = qvsec_sql::compile_query(text, self.engine.schema(), &mut domain, name)
-            .map_err(ServeError::Sql)?;
-        if domain.len() != before {
-            return Err(ServeError::UndeclaredConstant(text.to_string()));
-        }
-        Ok(queries)
+        self.compile_closed(text, |schema, domain| {
+            qvsec_sql::compile_query(text, schema, domain, name).map_err(ServeError::Sql)
+        })
     }
 
     /// Like [`SessionRegistry::parse_sql`] but for contexts needing exactly
@@ -367,14 +346,9 @@ impl SessionRegistry {
     /// that expands through `IN`-lists is rejected with a structured
     /// `multiple_queries` reason.
     pub fn parse_sql_single(&self, text: &str, name: &str) -> crate::Result<ConjunctiveQuery> {
-        let mut domain = self.engine.domain().clone();
-        let before = domain.len();
-        let query = qvsec_sql::compile_query_single(text, self.engine.schema(), &mut domain, name)
-            .map_err(ServeError::Sql)?;
-        if domain.len() != before {
-            return Err(ServeError::UndeclaredConstant(text.to_string()));
-        }
-        Ok(query)
+        self.compile_closed(text, |schema, domain| {
+            qvsec_sql::compile_query_single(text, schema, domain, name).map_err(ServeError::Sql)
+        })
     }
 
     fn shard_of(&self, tenant: &str) -> &Shard {
@@ -447,7 +421,6 @@ impl SessionRegistry {
             snapshots: HashMap::new(),
             last_used: Instant::now(),
             requests: 0,
-            bytes: 0,
             retired: false,
         }));
         map.insert(tenant.to_string(), Arc::clone(&entry));
@@ -555,10 +528,7 @@ impl SessionRegistry {
     ) -> crate::Result<SessionReport> {
         self.with_tenant(tenant, secret, |t| {
             let name = name.unwrap_or_else(|| view.name.clone());
-            let report = t.session.publish_named(name, view)?;
-            let committed = t.session.published().last().expect("just published");
-            t.bytes += approx_bytes(committed);
-            Ok((report, None))
+            Ok((t.session.publish_named(name, view)?, None))
         })
     }
 
@@ -580,10 +550,7 @@ impl SessionRegistry {
         self.with_tenant(tenant, None, |t| {
             let snap = t.session.snapshot();
             let views = snap.views_published();
-            t.bytes += approx_bytes(&snap);
-            if let Some(replaced) = t.snapshots.insert(label.to_string(), snap) {
-                t.bytes = t.bytes.saturating_sub(approx_bytes(&replaced));
-            }
+            t.snapshots.insert(label.to_string(), snap);
             Ok((views, Some(label.to_string())))
         })
     }
@@ -599,7 +566,6 @@ impl SessionRegistry {
                 .ok_or_else(|| ServeError::UnknownSnapshot(label.to_string()))?
                 .clone();
             t.session.restore(&snap);
-            t.recount_bytes();
             Ok((t.session.views_published(), None))
         })
     }
@@ -701,7 +667,6 @@ impl SessionRegistry {
                     views_published: t.session.views_published(),
                     snapshots_held: t.snapshots.len(),
                     requests: t.requests,
-                    approx_bytes: t.bytes,
                     store_records: u.records,
                     store_bytes: u.bytes,
                     demoted: false,
@@ -729,7 +694,6 @@ impl SessionRegistry {
                 views_published: record.state.views_published(),
                 snapshots_held: record.snapshots.len(),
                 requests: record.requests,
-                approx_bytes: 0,
                 store_records: u.records,
                 store_bytes: u.bytes,
                 demoted: true,
@@ -767,9 +731,6 @@ pub struct TenantStats {
     pub snapshots_held: usize,
     /// Requests the tenant has issued (audits, snapshots, restores).
     pub requests: u64,
-    /// Approximate bytes of published-view and snapshot state the tenant
-    /// pins in the registry (zero while demoted — nothing is resident).
-    pub approx_bytes: u64,
     /// Journal records this tenant has accrued in the durable store.
     #[serde(default)]
     pub store_records: u64,
@@ -853,7 +814,7 @@ mod tests {
         assert_eq!(stats.tenants.len(), 2);
         assert_eq!(stats.tenants[0].tenant, "alice");
         assert_eq!(stats.tenants[0].views_published, 2);
-        assert!(stats.tenants[0].approx_bytes > 0);
+        assert_eq!(stats.tenants[0].requests, 2);
         assert_eq!(stats.requests_served, 3);
     }
 
@@ -1052,7 +1013,6 @@ mod tests {
         assert!(alice.demoted);
         assert_eq!(alice.views_published, 1);
         assert_eq!(alice.snapshots_held, 1);
-        assert_eq!(alice.approx_bytes, 0);
         assert!(alice.store_records >= 3, "open+snapshot+expire journaled");
 
         // Restart: the demoted index itself rehydrates ...

@@ -1,29 +1,26 @@
-//! The concurrent TCP front end: blocking sockets, pipelined connections,
-//! newline-delimited JSON.
+//! The concurrent TCP front end: blocking sockets, newline-delimited JSON,
+//! one thread per connection.
 //!
-//! Each accepted connection gets two threads (the `std::thread` idiom the
-//! workspace already uses — no async runtime, no extra dependencies):
+//! Each accepted connection runs on one thread of its own (the
+//! `std::thread` idiom the workspace already uses — no async runtime, no
+//! extra dependencies), in one request loop: read a line, answer it, write
+//! the response, then apply the connection rules. Responses therefore go
+//! out strictly in request order. A client may pipeline: lines it sends
+//! ahead wait in the kernel's socket buffer, which pushes back on the
+//! client once full, so nothing buffers without bound.
 //!
-//! * a **reader** that keeps consuming request lines while earlier requests
-//!   compute, feeding a bounded in-flight queue (a `sync_channel`, so a
-//!   client that pipelines faster than the engine computes is backpressured
-//!   at [`ServerConfig::max_inflight`] requests, never buffered without
-//!   bound), and
-//! * a **processor** that dequeues requests strictly in order, computes,
-//!   and writes responses back in request order.
-//!
-//! The reader also owns the connection lifecycle: keep-alive request/byte
-//! limits, idle drops, and shutdown draining all end with a structured
-//! `connection_closing` notice (see [`crate::protocol::closing_notice`])
-//! delivered *after* every queued response — the notice rides the same
-//! in-order queue as the responses. An accept gate caps concurrent
+//! The connection rules — keep-alive request/byte limits, idle drops, and
+//! shutdown draining — all end with a structured `connection_closing`
+//! notice (see [`crate::protocol::closing_notice`]) written after the last
+//! response. The idle clock runs only while the loop waits for the next
+//! request, never while one computes. An accept gate caps concurrent
 //! connections at [`ServerConfig::max_connections`].
 //!
 //! A `{"op": "shutdown"}` request (or [`ServerHandle::shutdown`], which the
 //! CLI wires to SIGTERM) answers, flips the shutdown flag and wakes the
 //! accept loop with a loop-back connection; the server then stops
-//! accepting, drains every connection's in-flight queue (responses are
-//! still delivered), flushes the store journal, and returns. Requests a
+//! accepting, lets every connection answer the lines still arriving (for at
+//! most a drain window), flushes the store journal, and returns. Requests a
 //! client pipelines *behind its own* `shutdown` op are answered with a
 //! structured `shutting_down` error rather than silence.
 
@@ -34,7 +31,6 @@ use serde_json::Value;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -46,7 +42,7 @@ use std::time::{Duration, Instant};
 /// bound.
 pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
-/// The reader's wake-up tick: how often a blocked read re-checks the
+/// A connection's wake-up tick: how often a blocked read re-checks the
 /// shutdown flag and advances the idle clock.
 const READ_TICK: Duration = Duration::from_millis(50);
 
@@ -66,15 +62,13 @@ pub struct ServerConfig {
     /// away with a `connection_closing` notice (after a short grace wait
     /// for a slot).
     pub max_connections: usize,
-    /// Bound on one connection's in-flight queue: how many parsed-but-
-    /// unanswered requests the reader may run ahead of the processor.
-    pub max_inflight: usize,
     /// Keep-alive limit: close (with a notice) after this many requests.
     pub max_requests_per_conn: Option<u64>,
     /// Keep-alive limit: close (with a notice) after this many request
     /// bytes (newlines included).
     pub max_bytes_per_conn: Option<u64>,
-    /// Drop connections idle (no bytes received) this long, with a notice.
+    /// Drop connections that send no bytes this long while the server waits
+    /// for their next request, with a notice.
     pub idle_timeout: Option<Duration>,
     /// Slow-query threshold: requests whose total handling time crosses
     /// this many milliseconds are logged as one NDJSON line on stderr,
@@ -90,7 +84,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 1024,
-            max_inflight: 64,
             max_requests_per_conn: None,
             max_bytes_per_conn: None,
             idle_timeout: None,
@@ -112,10 +105,7 @@ pub struct ServerCounters {
     dropped_idle: AtomicU64,
     closed_request_limit: AtomicU64,
     closed_byte_limit: AtomicU64,
-    requests_pipelined: AtomicU64,
     responses_written: AtomicU64,
-    queue_depth: AtomicU64,
-    inflight_peak: AtomicU64,
 }
 
 /// A point-in-time snapshot of [`ServerCounters`].
@@ -133,15 +123,9 @@ pub struct ServerStats {
     pub closed_request_limit: u64,
     /// Connections closed by the keep-alive byte limit.
     pub closed_byte_limit: u64,
-    /// Requests enqueued onto in-flight queues (includes oversize and
-    /// non-UTF-8 lines, which are answered with structured errors).
-    pub requests_pipelined: u64,
-    /// Responses written back (notices excluded).
+    /// Responses written back (notices excluded; oversize and non-UTF-8
+    /// lines count, as they are answered with structured errors).
     pub responses_written: u64,
-    /// Requests currently parsed but unanswered, across all connections.
-    pub queue_depth: u64,
-    /// High-water mark of `queue_depth` over the server's lifetime.
-    pub inflight_peak: u64,
 }
 
 impl ServerCounters {
@@ -154,21 +138,8 @@ impl ServerCounters {
             dropped_idle: self.dropped_idle.load(Ordering::Relaxed),
             closed_request_limit: self.closed_request_limit.load(Ordering::Relaxed),
             closed_byte_limit: self.closed_byte_limit.load(Ordering::Relaxed),
-            requests_pipelined: self.requests_pipelined.load(Ordering::Relaxed),
             responses_written: self.responses_written.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            inflight_peak: self.inflight_peak.load(Ordering::Relaxed),
         }
-    }
-
-    fn note_enqueued(&self) {
-        self.requests_pipelined.fetch_add(1, Ordering::Relaxed);
-        let depth = self.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inflight_peak.fetch_max(depth, Ordering::SeqCst);
-    }
-
-    fn note_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -198,8 +169,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests a graceful shutdown and wakes the accept loop: in-flight
-    /// requests still get their responses, then the store journal is
+    /// Requests a graceful shutdown and wakes the accept loop: requests
+    /// being computed still get their responses, then the store journal is
     /// flushed. Idempotent.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -244,7 +215,6 @@ impl Server {
             registry,
             config: ServerConfig {
                 max_connections: config.max_connections.max(1),
-                max_inflight: config.max_inflight.max(1),
                 ..config
             },
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -273,17 +243,17 @@ impl Server {
         })
     }
 
-    /// Runs the accept loop until shutdown, spawning a pipelined
-    /// reader/processor pair per connection. Blocks the calling thread.
+    /// Runs the accept loop until shutdown, spawning one thread per
+    /// connection. Blocks the calling thread.
     ///
     /// With an idle timeout configured on the registry, a background
     /// sweeper expires idle tenants in **every** shard — the in-dispatch
     /// sweeps only cover the shard a request happens to hash to, so without
     /// this a low-traffic shard would retain its sessions forever.
     ///
-    /// On shutdown the accept loop stops, every connection drains its
-    /// in-flight queue (responses are still delivered, each connection
-    /// ending with a `connection_closing` notice), and the registry's
+    /// On shutdown the accept loop stops, every connection answers the
+    /// lines still arriving (each connection ending with a
+    /// `connection_closing` notice), and the registry's
     /// durable store — when there is one — is flushed before returning, so
     /// a SIGTERM'd server can be restarted over its own journal.
     pub fn run(self) -> io::Result<()> {
@@ -344,8 +314,9 @@ impl Server {
                 Err(e) => return Err(e),
             }
         }
-        // Drain: every connection observes the shutdown flag within a read
-        // tick, delivers its queued responses, notices, and exits.
+        // Drain: every connection observes the shutdown flag once its
+        // current request is answered (or within a read tick), answers the
+        // lines still arriving, notices, and exits.
         {
             let (slots, freed) = &*gate;
             let mut live = slots.lock().expect("accept gate poisoned");
@@ -398,20 +369,10 @@ fn reject_busy(mut stream: TcpStream) {
     let _ = stream.write_all(text.as_bytes());
 }
 
-/// One message from a connection's reader to its processor. The channel is
-/// the in-flight queue: FIFO, bounded, and the only path to the writer, so
-/// responses and the final notice come out in request order.
-enum ReaderMsg {
-    /// A request line to answer (`Err` is a line the reader already
-    /// rejected: too long, or not UTF-8).
-    Request(Result<String, (ErrorKind, String)>),
-    /// Close the connection after everything queued ahead has been
-    /// answered, writing a `connection_closing` notice with this reason.
-    Close(&'static str),
-}
-
-/// Serves one connection: spawns the reader, then processes its queue in
-/// order until close, EOF, or a write failure.
+/// Serves one connection on the calling thread: reads a request line,
+/// answers it, writes the response, then applies the connection rules —
+/// until the client's EOF, a failed write, or a rule that closes the
+/// connection with a `connection_closing` notice after the last response.
 fn serve_connection(
     registry: &SessionRegistry,
     stream: TcpStream,
@@ -420,75 +381,131 @@ fn serve_connection(
     config: &ServerConfig,
     counters: &ServerCounters,
 ) {
-    let Ok(read_half) = stream.try_clone() else {
+    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
         return;
-    };
-    let mut writer = stream;
-    let (tx, rx): (SyncSender<ReaderMsg>, Receiver<ReaderMsg>) = sync_channel(config.max_inflight);
-    thread::scope(|scope| {
-        scope.spawn(move || read_loop(read_half, tx, shutdown, config, counters));
-        let mut saw_shutdown_op = false;
-        let mut writer_dead = false;
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                ReaderMsg::Request(item) => {
-                    counters.note_dequeued();
-                    if writer_dead {
-                        // The client is gone; keep draining the queue so the
-                        // reader is never wedged on a full channel, but skip
-                        // the (possibly expensive) dispatch.
-                        continue;
+    }
+    let mut reader = BufReader::new(stream);
+    let mut line: Vec<u8> = Vec::new();
+    let mut oversize = false;
+    let mut idle = Duration::ZERO;
+    let mut requests: u64 = 0;
+    let mut bytes: u64 = 0;
+    let mut drain_deadline: Option<Instant> = None;
+    let mut saw_shutdown_op = false;
+    let close = loop {
+        if drain_deadline.is_none() && shutdown.load(Ordering::SeqCst) {
+            // Graceful drain: keep answering lines still arriving, but
+            // close at the first quiet tick (or the window's end).
+            drain_deadline = Some(Instant::now() + DRAIN_WINDOW);
+        }
+        if drain_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            break Some("shutting_down");
+        }
+        let (consumed, complete) = match reader.fill_buf() {
+            // EOF (with or without a half-read line) is the client's
+            // orderly close: every request it completed has its answer.
+            Ok([]) => break None,
+            Ok(chunk) => match chunk.iter().position(|&b| b == b'\n') {
+                Some(pos) => {
+                    if !oversize {
+                        line.extend_from_slice(&chunk[..pos]);
                     }
-                    let (response, stop) = match item {
-                        Ok(line) => {
-                            if saw_shutdown_op {
-                                (
-                                    error_response(
-                                        ErrorKind::ShuttingDown,
-                                        "the server is draining after this connection's \
-                                         `shutdown` request; pipeline no requests behind it"
-                                            .to_string(),
-                                    ),
-                                    false,
-                                )
-                            } else {
-                                let (response, stop, trace) =
-                                    handle_request_traced(registry, Some(counters), &line);
-                                if let (Some(slow_ms), Some(trace)) =
-                                    (config.slow_ms, trace.as_ref())
-                                {
-                                    maybe_log_slow(slow_ms, trace);
-                                }
-                                (response, stop)
-                            }
-                        }
-                        Err((kind, reason)) => (error_response(kind, reason), false),
-                    };
-                    if write_line(&mut writer, &response).is_err() {
-                        writer_dead = true;
-                        // Hanging up both halves turns the reader's next
-                        // read into EOF, which unwinds the pair promptly.
-                        let _ = writer.shutdown(std::net::Shutdown::Both);
-                        continue;
-                    }
-                    counters.responses_written.fetch_add(1, Ordering::Relaxed);
-                    if stop {
-                        saw_shutdown_op = true;
-                        shutdown.store(true, Ordering::SeqCst);
-                        // Wake the accept loop so it observes the flag.
-                        let _ = TcpStream::connect(addr);
-                    }
+                    (pos + 1, true)
                 }
-                ReaderMsg::Close(reason) => {
-                    if !writer_dead {
-                        let _ = write_line(&mut writer, &closing_notice(reason));
+                None => {
+                    if !oversize {
+                        line.extend_from_slice(chunk);
                     }
-                    break; // the reader already returned after sending Close
+                    (chunk.len(), false)
+                }
+            },
+            // A quiet read tick: no bytes for READ_TICK.
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                if drain_deadline.is_some() {
+                    break Some("shutting_down");
+                }
+                idle += READ_TICK;
+                if config.idle_timeout.is_some_and(|max| idle >= max) {
+                    counters.dropped_idle.fetch_add(1, Ordering::Relaxed);
+                    break Some("idle_timeout");
+                }
+                continue;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break None,
+        };
+        reader.consume(consumed);
+        bytes = bytes.saturating_add(consumed as u64);
+        idle = Duration::ZERO;
+        if !oversize && line.len() > MAX_REQUEST_LINE_BYTES {
+            // Stop buffering: an unbounded line costs constant memory; the
+            // error goes out when its newline arrives.
+            oversize = true;
+            line = Vec::new();
+        }
+        if !complete {
+            continue;
+        }
+        let (response, stop) = if std::mem::take(&mut oversize) {
+            let reason = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+            (error_response(ErrorKind::LineTooLong, reason), false)
+        } else {
+            match String::from_utf8(std::mem::take(&mut line)) {
+                Ok(text) if text.trim().is_empty() => continue, // keep-alive noise
+                Ok(_) if saw_shutdown_op => {
+                    let reason = "the server is draining after this connection's `shutdown` \
+                                  request; pipeline no requests behind it";
+                    (
+                        error_response(ErrorKind::ShuttingDown, reason.to_string()),
+                        false,
+                    )
+                }
+                Ok(text) => {
+                    let (response, stop, trace) =
+                        handle_request_traced(registry, Some(counters), &text);
+                    if let (Some(slow_ms), Some(trace)) = (config.slow_ms, trace.as_ref()) {
+                        maybe_log_slow(slow_ms, trace);
+                    }
+                    (response, stop)
+                }
+                Err(_) => {
+                    let reason = "request line is not UTF-8".to_string();
+                    (error_response(ErrorKind::BadRequest, reason), false)
                 }
             }
+        };
+        if write_line(reader.get_ref(), &response).is_err() {
+            break None; // the client is gone
         }
-        let _ = writer.shutdown(std::net::Shutdown::Both);
-    });
+        counters.responses_written.fetch_add(1, Ordering::Relaxed);
+        if stop {
+            saw_shutdown_op = true;
+            shutdown.store(true, Ordering::SeqCst);
+            // Wake the accept loop so it observes the flag.
+            let _ = TcpStream::connect(addr);
+        }
+        requests += 1;
+        if config
+            .max_requests_per_conn
+            .is_some_and(|max| requests >= max)
+        {
+            counters
+                .closed_request_limit
+                .fetch_add(1, Ordering::Relaxed);
+            break Some("request_limit");
+        }
+        if config.max_bytes_per_conn.is_some_and(|max| bytes >= max) {
+            counters.closed_byte_limit.fetch_add(1, Ordering::Relaxed);
+            break Some("byte_limit");
+        }
+    };
+    let stream = reader.get_ref();
+    if let Some(reason) = close {
+        let _ = write_line(stream, &closing_notice(reason));
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 /// Emits one NDJSON slow-query line on stderr when the traced request's
@@ -541,153 +558,8 @@ fn maybe_log_slow(slow_ms: u64, trace: &qvsec_obs::TraceSummary) {
     }
 }
 
-/// One step of the incremental, timeout-tolerant line reader.
-enum ReadStep {
-    /// Consumed `usize` bytes; `bool` says a newline completed the line.
-    Data(usize, bool),
-    /// The read timed out with no data (one [`READ_TICK`] elapsed).
-    Quiet,
-    /// End of stream (client closed, or a hard read error).
-    Eof,
-}
-
-/// The per-connection reader: consumes request lines as fast as the client
-/// sends them, enqueues them (blocking on the bounded channel for
-/// backpressure), and enforces the connection lifecycle.
-fn read_loop(
-    stream: TcpStream,
-    tx: SyncSender<ReaderMsg>,
-    shutdown: &AtomicBool,
-    config: &ServerConfig,
-    counters: &ServerCounters,
-) {
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    let mut oversize = false;
-    let mut idle = Duration::ZERO;
-    let mut requests: u64 = 0;
-    let mut bytes: u64 = 0;
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        if drain_deadline.is_none() && shutdown.load(Ordering::SeqCst) {
-            // Graceful drain: keep answering lines already in flight, but
-            // close at the first quiet tick (or the window's end).
-            drain_deadline = Some(Instant::now() + DRAIN_WINDOW);
-        }
-        if let Some(deadline) = drain_deadline {
-            if Instant::now() >= deadline {
-                let _ = tx.send(ReaderMsg::Close("shutting_down"));
-                return;
-            }
-        }
-        let step = match reader.fill_buf() {
-            Ok([]) => ReadStep::Eof,
-            Ok(chunk) => match chunk.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if !oversize {
-                        line.extend_from_slice(&chunk[..pos]);
-                    }
-                    ReadStep::Data(pos + 1, true)
-                }
-                None => {
-                    if !oversize {
-                        line.extend_from_slice(chunk);
-                    }
-                    ReadStep::Data(chunk.len(), false)
-                }
-            },
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                ReadStep::Quiet
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => ReadStep::Eof,
-        };
-        match step {
-            // EOF without a half-read line is the client's orderly close;
-            // the processor finishes the queue when the channel hangs up.
-            ReadStep::Eof => return,
-            ReadStep::Quiet => {
-                if drain_deadline.is_some() {
-                    let _ = tx.send(ReaderMsg::Close("shutting_down"));
-                    return;
-                }
-                idle += READ_TICK;
-                if let Some(max) = config.idle_timeout {
-                    if idle >= max {
-                        counters.dropped_idle.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(ReaderMsg::Close("idle_timeout"));
-                        return;
-                    }
-                }
-            }
-            ReadStep::Data(consumed, complete) => {
-                reader.consume(consumed);
-                bytes = bytes.saturating_add(consumed as u64);
-                idle = Duration::ZERO;
-                if !oversize && line.len() > MAX_REQUEST_LINE_BYTES {
-                    // Stop buffering: an unbounded line costs constant
-                    // memory; the error goes out when its newline arrives.
-                    oversize = true;
-                    line = Vec::new();
-                }
-                if !complete {
-                    continue;
-                }
-                let item = if oversize {
-                    Err((
-                        ErrorKind::LineTooLong,
-                        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    ))
-                } else {
-                    match String::from_utf8(std::mem::take(&mut line)) {
-                        Ok(text) => {
-                            if text.trim().is_empty() {
-                                continue; // blank lines are keep-alive noise
-                            }
-                            Ok(text)
-                        }
-                        Err(_) => Err((
-                            ErrorKind::BadRequest,
-                            "request line is not UTF-8".to_string(),
-                        )),
-                    }
-                };
-                oversize = false;
-                line.clear();
-                counters.note_enqueued();
-                if tx.send(ReaderMsg::Request(item)).is_err() {
-                    counters.note_dequeued();
-                    return; // processor is gone
-                }
-                requests += 1;
-                if let Some(max) = config.max_requests_per_conn {
-                    if requests >= max {
-                        counters
-                            .closed_request_limit
-                            .fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(ReaderMsg::Close("request_limit"));
-                        return;
-                    }
-                }
-                if let Some(max) = config.max_bytes_per_conn {
-                    if bytes >= max {
-                        counters.closed_byte_limit.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(ReaderMsg::Close("byte_limit"));
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Serializes `value` and writes it as one response line.
-fn write_line(writer: &mut TcpStream, value: &Value) -> io::Result<()> {
+fn write_line(mut writer: &TcpStream, value: &Value) -> io::Result<()> {
     let mut text = serde_json::to_string(value).expect("JSON rendering is infallible");
     text.push('\n');
     writer.write_all(text.as_bytes())?;
@@ -734,9 +606,9 @@ pub fn request_lines(addr: &str, lines: &[String]) -> io::Result<Vec<String>> {
     Ok(responses)
 }
 
-/// Client helper: writes the whole script up front (pipelining through the
-/// server's bounded in-flight queue), then reads one response per request,
-/// in order. The response stream is byte-identical to [`request_lines`]
+/// Client helper: writes the whole script up front (pipelining; the lines
+/// wait in the server's socket buffer), then reads one response per
+/// request, in order. The response stream is byte-identical to [`request_lines`]
 /// over the same script — pipelining changes scheduling, never answers.
 pub fn request_lines_pipelined(addr: &str, lines: &[String]) -> io::Result<Vec<String>> {
     let stream = TcpStream::connect(addr)?;
@@ -930,8 +802,7 @@ mod tests {
         let stats = handle.stats();
         assert_eq!(stats.accepted, 4);
         assert_eq!(stats.responses_written, 6);
-        assert_eq!(stats.queue_depth, 0, "the gauge must balance");
-        assert!(stats.inflight_peak >= 1);
+        assert_eq!(stats.active_connections, 0, "every connection drained");
     }
 
     #[test]
@@ -1060,10 +931,6 @@ mod tests {
         }
         handle.shutdown();
         join.join().unwrap().unwrap();
-        assert!(
-            handle.stats().inflight_peak >= 2,
-            "the reader never ran ahead"
-        );
     }
 
     #[test]

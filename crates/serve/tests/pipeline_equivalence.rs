@@ -3,13 +3,13 @@
 //! response stream **byte-identical** to a synchronous, one-request-at-a-
 //! time drive of the same script against a fresh server.
 //!
-//! What makes this non-trivial: under pipelining a connection's reader
-//! thread runs ahead of its processor, many connections' processors
-//! interleave on one shared engine, and the accept loop, in-flight queues
-//! and keep-alive bookkeeping all sit between the socket and the registry.
-//! None of that machinery may reorder, drop, duplicate or rewrite a
-//! response: the raw response lines must match byte for byte. Cache
-//! traffic does depend on the interleaving, but no response carries it.
+//! What makes this non-trivial: under pipelining a client's lines queue in
+//! the server's socket buffer ahead of the request being answered, many
+//! connections interleave on one shared engine, and the accept loop and
+//! keep-alive bookkeeping sit between the socket and the registry. None of
+//! that machinery may reorder, drop, duplicate or rewrite a response: the
+//! raw response lines must match byte for byte. Cache traffic does depend
+//! on the interleaving, but no response carries it.
 //!
 //! A second property covers mid-stream connection drops: clients that
 //! write a prefix of their script and vanish without reading must not
@@ -39,13 +39,13 @@ const VIEWS: &[&str] = &[
 
 const SECRET: &str = "S(n) :- Employee(n, 'HR', p)";
 
-fn spawn_server(config: ServerConfig) -> (ServerHandle, thread::JoinHandle<std::io::Result<()>>) {
+fn spawn_server() -> (ServerHandle, thread::JoinHandle<std::io::Result<()>>) {
     let mut schema = Schema::new();
     schema.add_relation("Employee", &["name", "department", "phone"]);
     let domain = Domain::with_constants(["Mgmt", "HR"]);
     let engine = Arc::new(AuditEngine::builder(schema, domain).build());
     let registry = Arc::new(SessionRegistry::new(engine));
-    let server = Server::bind_with(registry, "127.0.0.1:0", config).unwrap();
+    let server = Server::bind_with(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let handle = server.handle().unwrap();
     let join = thread::spawn(move || server.run());
     (handle, join)
@@ -113,7 +113,7 @@ fn wire_script(tenant: &str, steps: &[Step]) -> Vec<String> {
 /// Synchronous ground truth: a fresh server answers every tenant's script
 /// one request at a time, tenants in order.
 fn sync_baseline(scripts: &[Vec<String>]) -> Vec<Vec<String>> {
-    let (handle, join) = spawn_server(ServerConfig::default());
+    let (handle, join) = spawn_server();
     let addr = handle.addr().to_string();
     let baseline = scripts
         .iter()
@@ -127,7 +127,7 @@ fn sync_baseline(scripts: &[Vec<String>]) -> Vec<Vec<String>> {
 /// Pipelined, concurrent drives are byte-identical to the synchronous
 /// baseline at 1, 2 and 4 client threads.
 /// Plain function so the `proptest!` bodies stay macro-cheap.
-fn check_pipelined_matches_sync(steps: &[Vec<Step>], inflight: usize) {
+fn check_pipelined_matches_sync(steps: &[Vec<Step>]) {
     let scripts: Vec<Vec<String>> = steps
         .iter()
         .enumerate()
@@ -136,10 +136,7 @@ fn check_pipelined_matches_sync(steps: &[Vec<Step>], inflight: usize) {
     let baseline = sync_baseline(&scripts);
 
     for clients in [1usize, 2, 4] {
-        let (handle, join) = spawn_server(ServerConfig {
-            max_inflight: inflight,
-            ..ServerConfig::default()
-        });
+        let (handle, join) = spawn_server();
         let addr = handle.addr().to_string();
         // `clients` concurrent connections; each drives one or more
         // tenants' scripts pipelined, in tenant order.
@@ -172,10 +169,9 @@ fn check_pipelined_matches_sync(steps: &[Vec<Step>], inflight: usize) {
             prop_assert_eq!(
                 &responses,
                 &baseline[tenant],
-                "tenant {} diverged at {} clients (inflight {})",
+                "tenant {} diverged at {} clients",
                 tenant,
-                clients,
-                inflight
+                clients
             );
         }
     }
@@ -191,7 +187,7 @@ fn check_drops_leave_survivors_intact(steps: &[Vec<Step>], cut: usize) {
         .collect();
     let baseline = sync_baseline(&scripts);
 
-    let (handle, join) = spawn_server(ServerConfig::default());
+    let (handle, join) = spawn_server();
     let addr = handle.addr().to_string();
     let survivors: Vec<(usize, Vec<String>)> = thread::scope(|scope| {
         let handles: Vec<_> = scripts
@@ -247,9 +243,8 @@ proptest! {
     fn pipelined_streams_match_synchronous_drive(
         steps in proptest::collection::vec(
             proptest::collection::vec(step_strategy(), 3..8), 4),
-        inflight in 1usize..5,
     ) {
-        check_pipelined_matches_sync(&steps, inflight);
+        check_pipelined_matches_sync(&steps);
     }
 
     #[test]
