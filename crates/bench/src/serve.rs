@@ -11,14 +11,15 @@
 //!
 //! A second axis sweeps **eviction pressure**: the same multi-tenant drive
 //! under shrinking engine byte budgets must keep verdicts identical to the
-//! unbounded run while the eviction counters climb — the bounded caches
-//! trade wall-clock for memory, never correctness.
+//! unbounded run while the eviction counters climb — the bounded memo
+//! trades wall-clock for memory, never correctness, and a budget that holds
+//! the unbounded working set evicts nothing.
 //!
 //! A third axis drives **concurrent clients**: N real client threads over
 //! the NDJSON TCP server, each serving a disjoint slice of the tenants.
-//! The sharded memo locks have to show up here as throughput — and the
-//! per-tenant response streams have to stay byte-identical to the
-//! single-client drive at every thread count.
+//! Contention on the engine's one memo lock would show up here as
+//! throughput — and the per-tenant response streams have to stay
+//! byte-identical to the single-client drive at every thread count.
 //!
 //! The binary `bench_serve` runs this harness and writes
 //! `BENCH_serve.json`, mirroring the other committed bench artifacts.
@@ -309,8 +310,8 @@ fn wire_line(fields: &[(&str, &str)]) -> String {
 
 /// One NDJSON script per tenant: open, the workload's publish steps, and a
 /// tenant-distinct chain view (length `1 + t % 4`) so concurrent clients
-/// carry fresh compile work into different memo shards instead of racing
-/// on pure cache hits.
+/// carry fresh compile work into the memo instead of racing on pure cache
+/// hits.
 fn tenant_scripts(workload: &Workload, tenants: usize) -> Vec<Vec<String>> {
     let secret = workload
         .secret
@@ -741,7 +742,7 @@ pub fn run_serve_bench(iterations: usize, tenants: usize, mc_samples: usize) -> 
 
     // Concurrent clients are measured on the probabilistic workload too:
     // its requests carry enough per-request work for parallel serving to
-    // matter, and the chain views exercise distinct memo shards.
+    // matter, and the chain views insert fresh artifacts concurrently.
     let concurrent = run_concurrent(&workloads[1], tenants, iterations);
 
     // Saturation runs on the cheap exact workload: with near-free audits,

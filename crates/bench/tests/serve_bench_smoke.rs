@@ -37,6 +37,15 @@ fn harness_matches_the_stateless_baseline_and_survives_eviction_pressure() {
         tightest.resident_bytes < unbounded.resident_bytes,
         "the budget must actually bound residency"
     );
+    // One budget over one LRU: a budget that holds the unbounded working
+    // set evicts nothing.
+    for p in &report.eviction_sweep {
+        if p.budget_bytes
+            .is_some_and(|b| b as u64 >= unbounded.resident_bytes)
+        {
+            assert_eq!(p.evictions, 0, "{p:?} holds the working set yet evicted");
+        }
+    }
 
     // The concurrent sweep rode along: every client count answered the
     // tenants byte-identically to the single-client drive.
@@ -128,7 +137,7 @@ fn saturation_drive_is_lossless_and_order_preserving() {
 
 #[test]
 fn concurrent_clients_are_thread_invariant() {
-    // The regression the sharded memos must never reintroduce: request
+    // The regression the shared memo must never introduce: request
     // interleavings at 1, 2 and 4 real client threads must produce
     // byte-identical per-tenant response streams (cache counters aside).
     let report = run_concurrent_bench(1, 4, 128);

@@ -77,7 +77,7 @@
 //! [`AuditEngine::prob_stats`] exposes the kernel's lifetime counters
 //! (worlds streamed, samples drawn/reused, cutovers).
 
-use crate::artifacts::{ArtifactBudget, ArtifactCounters, CompiledArtifacts};
+use crate::artifacts::CompiledArtifacts;
 use crate::critical::CritStatsSnapshot;
 use crate::fast_check::{fast_check, FastVerdict};
 use crate::leakage::LeakageReport;
@@ -86,7 +86,7 @@ use crate::security::{active_domain, SecurityVerdict};
 use crate::session::AuditSession;
 use crate::{QvsError, Result};
 use qvsec_cq::{ConjunctiveQuery, ViewSet};
-use qvsec_data::{Dictionary, Domain, Ratio, Schema, Tuple};
+use qvsec_data::{Dictionary, Domain, MemoCache, MemoKind, Ratio, Schema, Tuple};
 use qvsec_prob::kernel::{EstimatorReport, KernelConfig, ProbKernel, ProbStatsSnapshot};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -304,7 +304,7 @@ pub struct AuditEngineBuilder {
     candidate_cap: usize,
     default_depth: AuditDepth,
     prob_config: KernelConfig,
-    artifact_budget: ArtifactBudget,
+    cache_budget: Option<usize>,
 }
 
 impl AuditEngineBuilder {
@@ -326,7 +326,7 @@ impl AuditEngineBuilder {
                 audit_memo: true,
                 ..KernelConfig::default()
             },
-            artifact_budget: ArtifactBudget::unbounded(),
+            cache_budget: None,
         }
     }
 
@@ -377,27 +377,17 @@ impl AuditEngineBuilder {
         self
     }
 
-    /// Bounds every engine cache by one total byte budget: 70% goes to the
-    /// compiled-artifact store (crit sets, candidate spaces, class
-    /// verdicts), 10% each to the probabilistic kernel's compile,
-    /// answer-bit-column and whole-audit-memo caches. Inserting past a
-    /// layer's budget evicts its least-recently-used entries; eviction is
-    /// transparent — any evicted artifact is recomputed on the next
-    /// request, and every verdict is byte-identical to an unbounded
-    /// engine's (see `tests/eviction_equivalence.rs`). Without this call
-    /// the caches are append-only for the engine's lifetime.
+    /// Bounds the engine's memo — every crit set, candidate space, class
+    /// verdict cache, kernel compilation, pool column and memoized audit —
+    /// by one total byte budget. After every insert the resident bytes fit
+    /// `total`, or the one entry just inserted is all that is resident.
+    /// Inserting past the budget evicts the least-recently-used artifacts
+    /// of any kind; eviction is transparent — any evicted artifact is
+    /// recomputed on the next request, and every verdict is byte-identical
+    /// to an unbounded engine's (see `tests/eviction_equivalence.rs`).
+    /// Without this call the memo is append-only for the engine's lifetime.
     pub fn cache_budget_bytes(mut self, total: usize) -> Self {
-        self.artifact_budget = ArtifactBudget::split(total * 7 / 10);
-        self.prob_config.compile_budget = Some(total / 10);
-        self.prob_config.column_budget = Some(total / 10);
-        self.prob_config.audit_budget = Some(total / 10);
-        self
-    }
-
-    /// Per-layer artifact budgets, for callers that want finer control than
-    /// [`AuditEngineBuilder::cache_budget_bytes`].
-    pub fn artifact_budget(mut self, budget: ArtifactBudget) -> Self {
-        self.artifact_budget = budget;
+        self.cache_budget = Some(total);
         self
     }
 
@@ -423,7 +413,7 @@ impl AuditEngineBuilder {
             candidate_cap: self.candidate_cap,
             default_depth: self.default_depth,
             prob_config: self.prob_config,
-            artifacts: CompiledArtifacts::with_budget(self.artifact_budget),
+            artifacts: CompiledArtifacts::with_cache(Arc::new(MemoCache::new(self.cache_budget))),
             prob_kernel: OnceLock::new(),
         }
     }
@@ -464,11 +454,12 @@ pub struct AuditEngine {
     prob_config: KernelConfig,
     /// First-class compiled artifacts: `crit(Q)` sets and candidate spaces
     /// memoized by (canonical form, active-domain size), plus the
-    /// domain-size-independent symmetry-class verdict caches.
+    /// domain-size-independent symmetry-class verdict caches. Its memo is
+    /// the engine's one cache, which the kernel shares.
     artifacts: CompiledArtifacts,
     /// The shared-sample probabilistic kernel, built on the first
-    /// `Probabilistic` audit and reused (pool included) for the engine's
-    /// whole lifetime.
+    /// `Probabilistic` audit over the engine's memo and reused (pool
+    /// included) for the engine's whole lifetime.
     prob_kernel: OnceLock<Arc<ProbKernel>>,
 }
 
@@ -513,6 +504,12 @@ impl AuditEngine {
         &self.artifacts
     }
 
+    /// The engine's one memo, holding every artifact kind under the
+    /// builder's byte budget.
+    pub fn cache(&self) -> &MemoCache {
+        self.artifacts.cache()
+    }
+
     /// A snapshot of the engine-lifetime `crit(Q)` kernel counters:
     /// candidates examined, pruned (symmetry / prefilter / comparisons) and
     /// fine instances actually frozen, accumulated across every audit served
@@ -528,14 +525,19 @@ impl AuditEngine {
     /// reuse, counted since this engine was built. This is the only place
     /// the counters are read; no audit or session report carries them.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
-        let artifacts: ArtifactCounters = self.artifacts.counters();
+        let memo = self.cache().stats();
+        let (crit_sets, spaces) = (
+            memo.of(MemoKind::CritSet),
+            memo.of(MemoKind::CandidateSpace),
+        );
+        let total = memo.total();
         let crit = self.artifacts.crit_stats().snapshot();
         let prob = self.prob_stats();
         CacheStatsSnapshot {
-            crit_cache_hits: artifacts.crit_cache_hits,
-            crit_cache_misses: artifacts.crit_cache_misses,
-            space_cache_hits: artifacts.space_cache_hits,
-            space_cache_misses: artifacts.space_cache_misses,
+            crit_cache_hits: crit_sets.hits,
+            crit_cache_misses: crit_sets.misses,
+            space_cache_hits: spaces.hits,
+            space_cache_misses: spaces.misses,
             class_verdicts_reused: crit.class_verdicts_reused,
             compile_cache_hits: prob.compile_cache_hits,
             queries_compiled: prob.queries_compiled,
@@ -544,9 +546,9 @@ impl AuditEngine {
             pool_columns_built: prob.pool_columns_built,
             pool_column_hits: prob.pool_column_hits,
             kernel_audit_hits: prob.audit_memo_hits,
-            evictions: artifacts.evictions + prob.evictions,
-            evicted_bytes: artifacts.evicted_bytes + prob.evicted_bytes,
-            resident_bytes: artifacts.resident_bytes + prob.resident_bytes,
+            evictions: total.evictions,
+            evicted_bytes: total.evicted_bytes,
+            resident_bytes: total.resident_bytes,
         }
     }
 
@@ -577,11 +579,17 @@ impl AuditEngine {
             .unwrap_or_default()
     }
 
-    /// The probabilistic kernel, built against the engine's dictionary on
-    /// first use.
+    /// The probabilistic kernel, built against the engine's dictionary and
+    /// over the engine's memo on first use.
     fn kernel(&self, dict: &Arc<Dictionary>) -> &Arc<ProbKernel> {
-        self.prob_kernel
-            .get_or_init(|| Arc::new(ProbKernel::new(Arc::clone(dict), self.prob_config)))
+        self.prob_kernel.get_or_init(|| {
+            let cache = Arc::clone(self.artifacts.cache());
+            Arc::new(ProbKernel::with_cache(
+                Arc::clone(dict),
+                self.prob_config,
+                cache,
+            ))
+        })
     }
 
     /// Computes (or fetches) `crit_D(Q)` over `active` through the

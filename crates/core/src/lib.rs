@@ -87,7 +87,7 @@ pub mod security;
 pub mod session;
 
 pub use answerability::{answerable_as_projection, answerable_from_views, determined_by};
-pub use artifacts::{ArtifactBudget, ArtifactCounters, CompiledArtifacts};
+pub use artifacts::CompiledArtifacts;
 pub use critical::{critical_tuples, is_critical, CritStats, CritStatsSnapshot};
 pub use engine::{
     AuditDepth, AuditEngine, AuditEngineBuilder, AuditOptions, AuditReport, AuditRequest,

@@ -1,23 +1,20 @@
-//! Concurrency stress tests for the sharded memo layers.
+//! Concurrency stress tests for the engine's memo.
 //!
-//! The crit/space/class memos in [`CompiledArtifacts`] and the kernel's
-//! compile/column/audit caches are split into canonical-form-hash shards
-//! with fixed per-shard byte budgets, so a shard's eviction decisions
-//! depend only on the keys routed to it — never on which other shards are
-//! busy. These tests drive the memos from several threads at once and
-//! assert the three properties that sharding must preserve:
+//! The crit/space/class artifacts of [`CompiledArtifacts`] and the kernel's
+//! compilations, columns and audits share one byte-budgeted [`MemoCache`]
+//! behind one lock. These tests drive it from several threads at once and
+//! assert the properties concurrency must preserve:
 //!
 //! 1. **byte-identity** — every artifact a concurrent run hands out is
 //!    byte-identical to a single-threaded replay of the same requests;
 //! 2. **no lost insertions** — under an unbounded budget, every distinct
 //!    canonical form ends up resident, exactly as many as the replay;
-//! 3. **honest counters** — per-shard eviction counters sum to the
-//!    aggregate the engine always reported, and every request is counted
-//!    as exactly one hit or one miss.
+//! 3. **honest counters** — every request is counted as exactly one hit or
+//!    one miss, and a tight budget still bounds residency.
 
-use qvsec::artifacts::{ArtifactBudget, CompiledArtifacts};
+use qvsec::artifacts::CompiledArtifacts;
 use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
-use qvsec_data::{Dictionary, Domain, Schema, TupleSpace};
+use qvsec_data::{Dictionary, Domain, MemoCache, MemoKind, Schema, TupleSpace};
 use qvsec_prob::{KernelConfig, ProbKernel};
 use std::sync::Arc;
 use std::thread;
@@ -31,8 +28,7 @@ fn setup() -> (Schema, Domain) {
     (schema, Domain::with_constants(["a", "b"]))
 }
 
-/// More distinct canonical forms than memo shards (8), so by pigeonhole at
-/// least one shard receives two keys and tight budgets must evict.
+/// Thirteen distinct canonical forms, more than a tight budget holds.
 fn query_texts() -> Vec<String> {
     let mut texts: Vec<String> = [
         "V(x) :- R(x, y)",
@@ -93,7 +89,7 @@ fn stress(
             .map(|t| {
                 scope.spawn(move || {
                     // Each thread walks the forms in a rotated order so the
-                    // threads interleave on different shards each round.
+                    // threads interleave on different keys each round.
                     let mut out = Vec::new();
                     for round in 0..ROUNDS {
                         for i in 0..queries.len() {
@@ -122,9 +118,10 @@ fn tight_budget_concurrent_artifacts_are_byte_identical_to_replay() {
     let queries = parse_all(&schema, &mut domain);
     let (ref_crit, ref_spaces, _) = reference_artifacts(&queries, &domain);
 
-    // A few hundred bytes split over 8 shards per layer: every multi-key
-    // shard thrashes, so the run exercises eviction under contention.
-    let artifacts = CompiledArtifacts::with_budget(ArtifactBudget::split(600));
+    // A few hundred bytes: the memo thrashes, so the run exercises
+    // eviction under contention.
+    const BUDGET: usize = 600;
+    let artifacts = CompiledArtifacts::with_cache(Arc::new(MemoCache::new(Some(BUDGET))));
     let per_thread = stress(&artifacts, &queries, &domain);
 
     for (t, results) in per_thread.iter().enumerate() {
@@ -141,25 +138,29 @@ fn tight_budget_concurrent_artifacts_are_byte_identical_to_replay() {
         }
     }
 
-    let counters = artifacts.counters();
+    let stats = artifacts.cache().stats();
+    let total = stats.total();
     assert!(
-        counters.evictions > 0,
-        "tight shard budgets must evict under stress: {counters:?}"
+        total.evictions > 0,
+        "a tight budget must evict under stress: {total:?}"
+    );
+    assert!(
+        total.resident_bytes <= BUDGET as u64 || total.entries == 1,
+        "the budget bounds residency: {total:?}"
+    );
+    let requests = (THREADS * ROUNDS * queries.len()) as u64;
+    let (crit, space) = (
+        stats.of(MemoKind::CritSet),
+        stats.of(MemoKind::CandidateSpace),
     );
     assert_eq!(
-        artifacts.per_shard_evictions().iter().sum::<u64>(),
-        counters.evictions,
-        "per-shard eviction counters must sum to the aggregate"
-    );
-    let crit_requests = (THREADS * ROUNDS * queries.len()) as u64;
-    assert_eq!(
-        counters.crit_cache_hits + counters.crit_cache_misses,
-        crit_requests,
+        crit.hits + crit.misses,
+        requests,
         "every crit request counts as exactly one hit or one miss"
     );
     assert_eq!(
-        counters.space_cache_hits + counters.space_cache_misses,
-        crit_requests,
+        space.hits + space.misses,
+        requests,
         "every space request counts as exactly one hit or one miss"
     );
 }
@@ -173,24 +174,25 @@ fn unbounded_concurrent_artifacts_lose_no_insertions() {
     let artifacts = CompiledArtifacts::new();
     let _ = stress(&artifacts, &queries, &domain);
 
-    let counters = artifacts.counters();
-    assert_eq!(counters.evictions, 0, "unbounded shards never evict");
+    let crit_stats = || artifacts.cache().stats().of(MemoKind::CritSet);
+    assert_eq!(
+        artifacts.cache().stats().total().evictions,
+        0,
+        "an unbounded memo never evicts"
+    );
     assert_eq!(
         artifacts.cached_crit_sets(),
         expected_resident,
         "every distinct canonical form must stay resident"
     );
     // Warm re-requests from one more thread are all hits.
-    let before = artifacts.counters();
+    let before = crit_stats();
     for q in &queries {
         let _ = artifacts.crit(q, &domain, 10_000).unwrap();
     }
-    let after = artifacts.counters();
-    assert_eq!(
-        after.crit_cache_hits - before.crit_cache_hits,
-        queries.len() as u64
-    );
-    assert_eq!(after.crit_cache_misses, before.crit_cache_misses);
+    let after = crit_stats();
+    assert_eq!(after.hits - before.hits, queries.len() as u64);
+    assert_eq!(after.misses, before.misses);
 }
 
 #[test]

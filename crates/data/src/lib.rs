@@ -32,7 +32,6 @@ pub mod lru;
 pub mod ratio;
 pub mod sampler;
 pub mod schema;
-pub mod sharded;
 pub mod tuple;
 pub mod tuple_space;
 pub mod value;
@@ -42,11 +41,10 @@ pub use candidates::CandidateSet;
 pub use dictionary::Dictionary;
 pub use error::DataError;
 pub use instance::Instance;
-pub use lru::LruCache;
+pub use lru::{LruCache, MemoCache, MemoKey, MemoKind, MemoSnapshot, MemoStats};
 pub use ratio::Ratio;
 pub use sampler::InstanceSampler;
 pub use schema::{KeyConstraint, RelationId, RelationSchema, Schema};
-pub use sharded::ShardedLruCache;
 pub use tuple::Tuple;
 pub use tuple_space::TupleSpace;
 pub use value::{Domain, Value};

@@ -1,9 +1,9 @@
 //! # qvsec-obs — the observability plane
 //!
 //! Every layer of the workspace (cq parsing, the crit kernel, the
-//! probabilistic kernel's compile/exact/Monte-Carlo stages, the LRU memo
-//! caches, the store journal, the serve request loop) reports into one
-//! process-global [`MetricsRegistry`] through two primitives:
+//! probabilistic kernel's compile/exact/Monte-Carlo stages, the store
+//! journal, the serve request loop) reports into one process-global
+//! [`MetricsRegistry`] through two primitives:
 //!
 //! * **Counters** — always-on relaxed atomics, bumped unconditionally.
 //!   A counter bump is one atomic add; the registry lookup behind it is
@@ -14,6 +14,11 @@
 //!   **zero-cost when tracing is disabled**: [`Span::enter`] reads one
 //!   atomic flag and never touches the clock unless [`set_tracing`] turned
 //!   tracing on.
+//!
+//! The engine's memo is the one exception: it counts its own hits, misses
+//! and evictions per artifact kind under the lock it already holds, and
+//! the serving layer merges them in as `cache.*` and `kernel.*` gauges at
+//! collect time.
 //!
 //! On top of spans sits a per-request trace: a thread installs a
 //! [`TraceGuard`] around one request, every span closed on that thread

@@ -20,9 +20,12 @@
 //!
 //! Every audit reports which estimator produced it ([`EstimatorReport`]),
 //! and the kernel keeps lifetime counters of worlds streamed, samples
-//! drawn/reused and exact→Monte-Carlo cutovers ([`ProbStats`]). Its caches
-//! — compilations, pool columns, whole audits — live in memory only: a
-//! fresh kernel recomputes each entry on first use.
+//! drawn/reused and exact→Monte-Carlo cutovers ([`ProbStats`]). Its
+//! artifacts — compilations, pool columns, whole audits — live in a
+//! [`MemoCache`]: the engine's one memo, shared with its artifact store
+//! under one byte budget, or an unbounded one of its own for a standalone
+//! kernel. They live in memory only: a fresh kernel recomputes each entry
+//! on first use.
 
 pub mod compile;
 pub mod exact;
@@ -36,9 +39,7 @@ pub mod stats;
 
 pub use compile::CompiledQuery;
 pub use exact::{stream_exact, stream_exact_counts, SignatureDistribution};
-pub use montecarlo::{
-    answer_flags, count_signatures, count_signatures_from_columns, world_column, SignatureCounts,
-};
+pub use montecarlo::{answer_flags, count_signatures_from_columns, world_column, SignatureCounts};
 pub use pool::{SamplePool, POOL_CHUNK};
 pub use stats::{ProbStats, ProbStatsSnapshot};
 
@@ -47,7 +48,7 @@ use leakage::AnswerBitmaps;
 use qvsec_cq::eval::Answer;
 use qvsec_cq::{canonical_form, ConjunctiveQuery, ViewSet};
 use qvsec_data::bitset::MAX_ENUMERABLE;
-use qvsec_data::{DataError, Dictionary, Ratio, Result, ShardedLruCache, TupleSpace};
+use qvsec_data::{DataError, Dictionary, MemoCache, MemoKey, MemoKind, Ratio, Result, TupleSpace};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -61,13 +62,6 @@ pub struct KernelConfig {
     pub samples: usize,
     /// Seed of the shared sample pool.
     pub seed: u64,
-    /// Byte budget of the compile cache (`None` = append-only).
-    #[serde(default)]
-    pub compile_budget: Option<usize>,
-    /// Byte budget of the pooled answer-bit-column cache (`None` =
-    /// append-only).
-    #[serde(default)]
-    pub column_budget: Option<usize>,
     /// Cap on the *reported* leak-entry and independence-violation lists.
     /// Verdicts (`independent`, `max_leak`, the witness pair,
     /// `pairs_checked`) are computed over **all** pairs regardless; the cap
@@ -84,9 +78,6 @@ pub struct KernelConfig {
     /// unit tests reflect raw computation; the engine turns it on.
     #[serde(default)]
     pub audit_memo: bool,
-    /// Byte budget of the audit memo (`None` = append-only).
-    #[serde(default)]
-    pub audit_budget: Option<usize>,
 }
 
 impl Default for KernelConfig {
@@ -95,11 +86,8 @@ impl Default for KernelConfig {
             exact_cutover: MAX_ENUMERABLE,
             samples: 8192,
             seed: 0x9ec4_51ec,
-            compile_budget: None,
-            column_budget: None,
             report_cap: None,
             audit_memo: false,
-            audit_budget: None,
         }
     }
 }
@@ -177,10 +165,15 @@ pub struct KernelAudit {
     pub estimator: EstimatorReport,
 }
 
-/// Shards each kernel cache layer is split into, keyed by a deterministic
-/// hash of the canonical form so concurrent audits of unrelated queries
-/// never contend on one memo lock.
-const KERNEL_MEMO_SHARDS: usize = 8;
+/// The memo kinds a kernel owns.
+const KERNEL_KINDS: [MemoKind; 3] = [MemoKind::Compiled, MemoKind::PoolColumn, MemoKind::Audit];
+
+/// The memo key of a kernel artifact. The kernel owns exactly one tuple
+/// space, so the space half of a compilation's identity `(canonical form,
+/// space)` is implicit and the domain-size slot stays 0.
+fn kernel_key(kind: MemoKind, form: impl Into<String>) -> MemoKey {
+    MemoKey::new(kind, form, 0)
+}
 
 /// The shared-sample probabilistic kernel: owns the dictionary, the interned
 /// tuple space, the lazily-built sample pool and the lifetime counters.
@@ -191,31 +184,25 @@ pub struct ProbKernel {
     config: KernelConfig,
     stats: ProbStats,
     pool: OnceLock<Arc<SamplePool>>,
-    /// Compiled-query memo: canonical query form → shared witness masks.
-    /// The kernel owns exactly one tuple space, so the space key of the
-    /// engine-wide artifact identity `(canonical form, space)` is implicit.
-    /// Bounded by [`KernelConfig::compile_budget`] split across
-    /// canonical-form-hash shards; eviction is transparent (a later audit
-    /// of an evicted query recompiles).
-    compiled: ShardedLruCache<String, Arc<CompiledQuery>>,
-    /// Per-query answer-bit columns over the shared pool (Monte-Carlo
-    /// path), keyed like [`ProbKernel::compiled`]: a query audited again —
-    /// a later session step, a republished view — skips the per-world
-    /// witness tests entirely. Bounded by [`KernelConfig::column_budget`],
-    /// sharded like [`ProbKernel::compiled`].
-    pool_columns: ShardedLruCache<String, Arc<Vec<u64>>>,
-    /// Whole-audit memo (when [`KernelConfig::audit_memo`] is on), keyed by
-    /// the `\u{1}`-joined canonical forms of `(secret, views…)` — order-
-    /// sensitive, exactly like the verdict itself. Bounded by
-    /// [`KernelConfig::audit_budget`] split across key-hash shards;
-    /// eviction is transparent (the next identical audit recomputes and
-    /// reinserts).
-    audits: ShardedLruCache<String, Arc<KernelAudit>>,
+    /// The memo of the kernel's artifacts, by canonical form: witness-mask
+    /// compilations, answer-bit columns over the shared pool (Monte-Carlo
+    /// path) and — when [`KernelConfig::audit_memo`] is on — whole audits,
+    /// keyed by the `\u{1}`-joined forms of `(secret, views…)`, order-
+    /// sensitive exactly like the verdict itself. Eviction is transparent:
+    /// a later audit recompiles, re-evaluates or recomputes what it needs.
+    cache: Arc<MemoCache>,
 }
 
 impl ProbKernel {
-    /// Builds a kernel over `dict` with the given configuration.
+    /// Builds a kernel over `dict` with the given configuration and an
+    /// unbounded memo of its own.
     pub fn new(dict: Arc<Dictionary>, config: KernelConfig) -> Self {
+        Self::with_cache(dict, config, Arc::new(MemoCache::default()))
+    }
+
+    /// Builds a kernel over `dict` whose artifacts live in `cache` — the
+    /// engine's one memo, under its byte budget.
+    pub fn with_cache(dict: Arc<Dictionary>, config: KernelConfig, cache: Arc<MemoCache>) -> Self {
         let space = Arc::new(dict.space().clone());
         ProbKernel {
             dict,
@@ -223,9 +210,7 @@ impl ProbKernel {
             config,
             stats: ProbStats::new(),
             pool: OnceLock::new(),
-            compiled: ShardedLruCache::new(KERNEL_MEMO_SHARDS, config.compile_budget),
-            pool_columns: ShardedLruCache::new(KERNEL_MEMO_SHARDS, config.column_budget),
-            audits: ShardedLruCache::new(KERNEL_MEMO_SHARDS, config.audit_budget),
+            cache,
         }
     }
 
@@ -239,32 +224,23 @@ impl ProbKernel {
         &self.config
     }
 
-    /// A snapshot of the lifetime counters, including the cache layers'
-    /// eviction counters and resident bytes.
+    /// A snapshot of the lifetime counters, including the memo's hits,
+    /// misses, evictions and resident bytes for the kernel's artifacts.
     pub fn stats(&self) -> ProbStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        for layer in [
-            (
-                self.compiled.evictions(),
-                self.compiled.evicted_bytes(),
-                self.compiled.resident_bytes(),
-            ),
-            (
-                self.pool_columns.evictions(),
-                self.pool_columns.evicted_bytes(),
-                self.pool_columns.resident_bytes(),
-            ),
-            (
-                self.audits.evictions(),
-                self.audits.evicted_bytes(),
-                self.audits.resident_bytes(),
-            ),
-        ] {
-            snap.evictions += layer.0;
-            snap.evicted_bytes += layer.1;
-            snap.resident_bytes += layer.2 as u64;
+        let memo = self.cache.stats();
+        let (compiled, columns) = (memo.of(MemoKind::Compiled), memo.of(MemoKind::PoolColumn));
+        let kernel = memo.sum(&KERNEL_KINDS);
+        ProbStatsSnapshot {
+            queries_compiled: compiled.misses,
+            compile_cache_hits: compiled.hits,
+            pool_columns_built: columns.misses,
+            pool_column_hits: columns.hits,
+            audit_memo_hits: memo.of(MemoKind::Audit).hits,
+            evictions: kernel.evictions,
+            evicted_bytes: kernel.evicted_bytes,
+            resident_bytes: kernel.resident_bytes,
+            ..self.stats.snapshot()
         }
-        snap
     }
 
     /// Whether audits against this dictionary run the exact path.
@@ -300,45 +276,36 @@ impl ProbKernel {
     /// against the kernel's tuple space. The memo key is the query's
     /// [`canonical_form`], so α-renamed republications of a view share one
     /// compilation; equal forms compile to identical masks because the
-    /// homomorphism search sees the same structure. Number of hits and
-    /// misses are exposed through [`ProbStats`].
+    /// homomorphism search sees the same structure. Hits and misses are
+    /// counted by the memo and reported through [`ProbKernel::stats`].
     pub fn compile_cached(&self, query: &ConjunctiveQuery) -> Arc<CompiledQuery> {
         self.compile_cached_keyed(canonical_form(query), query)
     }
 
-    fn compile_cached_keyed(&self, key: String, query: &ConjunctiveQuery) -> Arc<CompiledQuery> {
-        if let Some(hit) = self.compiled.shard(key.as_str()).get(&key) {
-            self.stats.add_compile_hit();
-            return Arc::clone(hit);
+    fn compile_cached_keyed(&self, form: String, query: &ConjunctiveQuery) -> Arc<CompiledQuery> {
+        let key = kernel_key(MemoKind::Compiled, form);
+        if let Some(hit) = self.cache.get(&key) {
+            return hit;
         }
         // Compile outside the lock; a racing duplicate insert is harmless.
         let compile_span = qvsec_obs::Span::enter("kernel.compile");
         let fresh = Arc::new(CompiledQuery::compile(query, &self.space));
         drop(compile_span);
-        self.stats.add_query_compiled();
-        let bytes = fresh.approx_bytes() + key.len();
-        let mut cache = self.compiled.shard(key.as_str());
-        Arc::clone(cache.insert(key.clone(), fresh, bytes))
+        let bytes = fresh.approx_bytes() + key.form.len();
+        self.cache.insert(key, fresh, bytes)
     }
 
     /// Fetches (or evaluates and memoizes) `query`'s answer-bit column over
     /// the shared pool — the per-world signatures every Monte-Carlo audit
     /// of this query concatenates from.
-    fn column_cached(&self, key: &str, pool: &SamplePool, query: &CompiledQuery) -> Arc<Vec<u64>> {
-        if let Some(hit) = self.pool_columns.shard(key).get(key) {
-            self.stats.add_pool_column_hit();
-            return Arc::clone(hit);
+    fn column_cached(&self, form: &str, pool: &SamplePool, query: &CompiledQuery) -> Arc<Vec<u64>> {
+        let key = kernel_key(MemoKind::PoolColumn, form);
+        if let Some(hit) = self.cache.get(&key) {
+            return hit;
         }
         let fresh = Arc::new(montecarlo::world_column(pool, query));
-        self.stats.add_pool_column_built();
-        let bytes = 8 * fresh.len() + key.len() + 24;
-        let mut cache = self.pool_columns.shard(key);
-        Arc::clone(cache.insert(key.to_string(), fresh, bytes))
-    }
-
-    /// Number of distinct compiled queries currently memoized.
-    pub fn compiled_queries(&self) -> usize {
-        self.compiled.len()
+        let bytes = 8 * fresh.len() + form.len() + 24;
+        self.cache.insert(key, fresh, bytes)
     }
 
     /// Runs the full Probabilistic stage for one audit: independence,
@@ -349,19 +316,19 @@ impl ProbKernel {
         // Whole-audit memo: an identical `(secret, views)` audit returns
         // the cached verdict before any compilation, streaming or sampling
         // accounting runs, so memoized audits honestly report zero work.
-        let memo_key = self.config.audit_memo.then(|| keys.join("\u{1}"));
+        let memo_key = self
+            .config
+            .audit_memo
+            .then(|| kernel_key(MemoKind::Audit, keys.join("\u{1}")));
         if let Some(key) = &memo_key {
-            if let Some(hit) = self.audits.shard(key.as_str()).get(key) {
-                self.stats.add_audit_memo_hit();
-                return Ok(KernelAudit::clone(hit));
+            if let Some(hit) = self.cache.get::<KernelAudit>(key) {
+                return Ok(KernelAudit::clone(&hit));
             }
         }
         let audit = self.evaluate_fresh(&queries, &keys)?;
         if let Some(key) = memo_key {
-            let bytes = approx_audit_bytes(&audit) + key.len();
-            self.audits
-                .shard(key.as_str())
-                .insert(key, Arc::new(audit.clone()), bytes);
+            let bytes = approx_audit_bytes(&audit) + key.form.len();
+            self.cache.insert(key, Arc::new(audit.clone()), bytes);
         }
         Ok(audit)
     }
@@ -779,30 +746,13 @@ mod tests {
         assert_eq!(first.leakage, second.leakage);
         assert_eq!(first.totally_disclosed, second.totally_disclosed);
 
-        // A one-byte budget holds at most one resident audit per shard (an
-        // oversized entry is admitted but evicted by the next insert), so
-        // two alternating audits WHOSE MEMO KEYS SHARE A SHARD thrash the
-        // memo: every evaluation recomputes, and the verdicts stay
-        // identical (eviction transparency). Shard routing is a
-        // deterministic hash, so we probe structurally distinct secrets
-        // (chains of increasing length) until one collides with `s`.
-        let tight = KernelConfig {
-            audit_memo: true,
-            audit_budget: Some(1),
-            ..KernelConfig::default()
-        };
-        let evicting = ProbKernel::new(dict, tight);
-        let view_form = canonical_form(views.iter().next().unwrap());
-        let memo_key = |q: &ConjunctiveQuery| format!("{}\u{1}{view_form}", canonical_form(q));
-        let home = evicting.audits.shard_index(memo_key(&s).as_str());
-        let s2 = (1..64)
-            .map(|n| {
-                let body: Vec<String> = (0..n).map(|i| format!("R(v{i}, v{})", i + 1)).collect();
-                let text = format!("S2(v0) :- {}", body.join(", "));
-                parse_query(&text, &schema, &mut domain).unwrap()
-            })
-            .find(|q| evicting.audits.shard_index(memo_key(q).as_str()) == home)
-            .expect("some chain secret shares a shard with s");
+        // Under a one-byte budget every insert evicts everything else, so
+        // two alternating audits thrash the memo: every evaluation
+        // recomputes, and the verdicts stay identical (eviction
+        // transparency).
+        let tight = Arc::new(MemoCache::new(Some(1)));
+        let evicting = ProbKernel::with_cache(dict, config, tight);
+        let s2 = parse_query("S2(x, y) :- R(x, y)", &schema, &mut domain).unwrap();
         let a = evicting.evaluate(&s, &views).unwrap();
         let _ = evicting.evaluate(&s2, &views).unwrap();
         let b = evicting.evaluate(&s, &views).unwrap();

@@ -28,17 +28,6 @@ pub struct SignatureCounts {
     pub total: u64,
 }
 
-/// Evaluates every pooled world against the compiled queries, in parallel
-/// chunks, and merges the per-chunk counts. The chunking is by world index,
-/// so the result is independent of the worker-thread count.
-pub fn count_signatures(pool: &SamplePool, compiled: &[Arc<CompiledQuery>]) -> SignatureCounts {
-    let columns: Vec<Arc<Vec<u64>>> = compiled
-        .iter()
-        .map(|q| Arc::new(world_column(pool, q)))
-        .collect();
-    count_signatures_from_columns(&columns, compiled, pool.len())
-}
-
 /// One query's answer bits over every world of the pool, world-major
 /// (`sig_words` words per world). A column depends only on (pool, query),
 /// so the kernel memoizes it per canonical query form: republished views
@@ -147,8 +136,11 @@ mod tests {
         let compiled = vec![Arc::new(CompiledQuery::compile(&s, &space))];
         let arc_space = Arc::new(space);
         let pool = SamplePool::generate(&dict, Arc::clone(&arc_space), 3000, 11);
-        let a = count_signatures(&pool, &compiled);
-        let b = count_signatures(&pool, &compiled);
+        let count = || {
+            let columns = vec![Arc::new(world_column(&pool, &compiled[0]))];
+            count_signatures_from_columns(&columns, &compiled, pool.len())
+        };
+        let (a, b) = (count(), count());
         assert_eq!(a.total, 3000);
         assert_eq!(a.counts.values().sum::<u64>(), 3000);
         assert_eq!(a.counts, b.counts);

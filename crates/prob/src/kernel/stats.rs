@@ -5,7 +5,9 @@
 //! (the `AuditEngine`, the bench harness) snapshot them to see *how* the
 //! Probabilistic stage was served — how many worlds the exact path streamed,
 //! how often the estimator cut over to Monte-Carlo, and how much sampling
-//! work the shared pool saved.
+//! work the shared pool saved. Memo hits and misses are not counted here:
+//! the kernel's memo counts them, and [`super::ProbKernel::stats`] folds
+//! them into the snapshot.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,11 +19,6 @@ pub struct ProbStats {
     samples_reused: AtomicU64,
     exact_worlds_streamed: AtomicU64,
     cutovers: AtomicU64,
-    queries_compiled: AtomicU64,
-    compile_cache_hits: AtomicU64,
-    pool_columns_built: AtomicU64,
-    pool_column_hits: AtomicU64,
-    audit_memo_hits: AtomicU64,
 }
 
 impl ProbStats {
@@ -46,43 +43,15 @@ impl ProbStats {
         self.cutovers.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_query_compiled(&self) {
-        self.queries_compiled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_compile_hit(&self) {
-        self.compile_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_pool_column_built(&self) {
-        self.pool_columns_built.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_pool_column_hit(&self) {
-        self.pool_column_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_audit_memo_hit(&self) {
-        self.audit_memo_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters.
+    /// A point-in-time copy of the counters; the memo fields read 0 (the
+    /// kernel fills them in).
     pub fn snapshot(&self) -> ProbStatsSnapshot {
         ProbStatsSnapshot {
             samples_drawn: self.samples_drawn.load(Ordering::Relaxed),
             samples_reused: self.samples_reused.load(Ordering::Relaxed),
             exact_worlds_streamed: self.exact_worlds_streamed.load(Ordering::Relaxed),
             cutovers: self.cutovers.load(Ordering::Relaxed),
-            queries_compiled: self.queries_compiled.load(Ordering::Relaxed),
-            compile_cache_hits: self.compile_cache_hits.load(Ordering::Relaxed),
-            pool_columns_built: self.pool_columns_built.load(Ordering::Relaxed),
-            pool_column_hits: self.pool_column_hits.load(Ordering::Relaxed),
-            audit_memo_hits: self.audit_memo_hits.load(Ordering::Relaxed),
-            // The kernel folds its cache layers' eviction counters and
-            // resident bytes in on top of this snapshot.
-            evictions: 0,
-            evicted_bytes: 0,
-            resident_bytes: 0,
+            ..ProbStatsSnapshot::default()
         }
     }
 }
@@ -126,13 +95,15 @@ pub struct ProbStatsSnapshot {
     /// the counters stay an honest record of computation performed.
     #[serde(default)]
     pub audit_memo_hits: u64,
-    /// Compilations/columns evicted under the kernel's byte budgets.
+    /// Compilations, columns and audits evicted under the memo's byte
+    /// budget.
     #[serde(default)]
     pub evictions: u64,
     /// Approximate bytes evicted over the kernel's lifetime.
     #[serde(default)]
     pub evicted_bytes: u64,
-    /// Approximate bytes currently resident in the kernel caches (a gauge).
+    /// Approximate bytes of the kernel's artifacts currently resident in the
+    /// memo (a gauge).
     #[serde(default)]
     pub resident_bytes: u64,
 }

@@ -27,7 +27,7 @@
 //! Carlo pool — a warm registry serves a tenant's *first* request at the
 //! cost of a stateless deployment's *hottest* one (measured in
 //! `BENCH_serve.json`). Long-lived servers bound that sharing with the
-//! engine's byte-budgeted caches (`cache_budget_bytes`): eviction is
+//! engine's byte-budgeted memo (`cache_budget_bytes`): eviction is
 //! transparent to every verdict, so the registry trades memory for
 //! recomputation, never for correctness.
 

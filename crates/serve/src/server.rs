@@ -13,14 +13,18 @@
 //! shutdown draining — all end with a structured `connection_closing`
 //! notice (see [`crate::protocol::closing_notice`]) written after the last
 //! response. The idle clock runs only while the loop waits for the next
-//! request, never while one computes. An accept gate caps concurrent
-//! connections at [`ServerConfig::max_connections`].
+//! request, never while one computes. A response write that blocks longer
+//! than a fixed write deadline (a client that pipelines without reading
+//! has filled the socket buffers) ends the connection without a notice,
+//! like a vanished client. An accept gate caps concurrent connections at
+//! [`ServerConfig::max_connections`].
 //!
 //! A `{"op": "shutdown"}` request (or [`ServerHandle::shutdown`], which the
 //! CLI wires to SIGTERM) answers, flips the shutdown flag and wakes the
 //! accept loop with a loop-back connection; the server then stops
 //! accepting, lets every connection answer the lines still arriving (for at
-//! most a drain window), flushes the store journal, and returns. Requests a
+//! most a drain window, plus the write deadline for a response already
+//! stalled), flushes the store journal, and returns. Requests a
 //! client pipelines *behind its own* `shutdown` op are answered with a
 //! structured `shutting_down` error rather than silence.
 
@@ -50,6 +54,12 @@ const READ_TICK: Duration = Duration::from_millis(50);
 /// arriving before it closes anyway (bounds graceful shutdown against a
 /// client that never pauses).
 const DRAIN_WINDOW: Duration = Duration::from_secs(1);
+
+/// How long writing one response line may take. A client that stops
+/// reading fills the socket buffers and stalls the next response; when the
+/// stall outlasts this, the connection ends as if the client had vanished,
+/// so it cannot hold a drain open.
+const WRITE_DEADLINE: Duration = Duration::from_secs(3);
 
 /// How long the accept gate waits for a slot before rejecting a connection
 /// (absorbs the close/accept race of back-to-back clients).
@@ -381,7 +391,9 @@ fn serve_connection(
     config: &ServerConfig,
     counters: &ServerCounters,
 ) {
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
+    if stream.set_read_timeout(Some(READ_TICK)).is_err()
+        || stream.set_write_timeout(Some(WRITE_DEADLINE)).is_err()
+    {
         return;
     }
     let mut reader = BufReader::new(stream);
@@ -477,7 +489,7 @@ fn serve_connection(
             }
         };
         if write_line(reader.get_ref(), &response).is_err() {
-            break None; // the client is gone
+            break None; // the client is gone, or stopped reading
         }
         counters.responses_written.fetch_add(1, Ordering::Relaxed);
         if stop {
@@ -558,12 +570,33 @@ fn maybe_log_slow(slow_ms: u64, trace: &qvsec_obs::TraceSummary) {
     }
 }
 
-/// Serializes `value` and writes it as one response line.
+/// Serializes `value` and writes it as one response line, failing with
+/// `TimedOut` once the line has taken [`WRITE_DEADLINE`]. The socket's write
+/// timeout bounds each blocking write, not their sum, so after a partial
+/// write the timeout shrinks to what is left of the deadline.
 fn write_line(mut writer: &TcpStream, value: &Value) -> io::Result<()> {
     let mut text = serde_json::to_string(value).expect("JSON rendering is infallible");
     text.push('\n');
-    writer.write_all(text.as_bytes())?;
-    writer.flush()
+    let deadline = Instant::now() + WRITE_DEADLINE;
+    let mut rest = text.as_bytes();
+    loop {
+        match writer.write(rest) {
+            Ok(n) if n == rest.len() => break,
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        writer.set_write_timeout(Some(left))?;
+    }
+    if rest.len() < text.len() {
+        writer.set_write_timeout(Some(WRITE_DEADLINE))?;
+    }
+    Ok(())
 }
 
 /// True for server lines that answer no request (connection notices).
@@ -954,6 +987,38 @@ mod tests {
             responses[2]
         );
         join.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_hold_the_drain_open() {
+        let (handle, join) = spawn_server(2);
+        let addr = handle.addr().to_string();
+        // `Server::run` reports back over a channel, so a wedged drain
+        // fails the test instead of hanging it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = thread::spawn(move || done_tx.send(join.join()));
+        // Pipeline pings without reading a response until our own writes
+        // stall: the server has stopped reading because its response
+        // writes filled the socket buffers.
+        let hog = TcpStream::connect(&addr).unwrap();
+        hog.set_write_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let batch = b"{\"op\": \"ping\"}\n".repeat(1024);
+        let mut writer = &hog;
+        for _ in 0..4096 {
+            if writer.write_all(&batch).is_err() {
+                break;
+            }
+        }
+        let bye = request_lines(&addr, &[r#"{"op": "shutdown"}"#.to_string()]).unwrap();
+        assert!(bye[0].contains(r#""shutdown":true"#), "{}", bye[0]);
+        let bound = WRITE_DEADLINE + DRAIN_WINDOW + Duration::from_secs(2);
+        match done_rx.recv_timeout(bound) {
+            Ok(run) => run.unwrap().unwrap(),
+            Err(_) => panic!("the server still had not drained {bound:?} after `shutdown`"),
+        }
+        waiter.join().unwrap().unwrap();
+        drop(hog);
     }
 
     #[test]

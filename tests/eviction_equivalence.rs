@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use qvsec::engine::{AuditDepth, AuditEngine, AuditRequest};
 use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
 use qvsec_data::{Dictionary, Domain, Schema, TupleSpace};
+use qvsec_serve::SessionRegistry;
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -202,4 +203,88 @@ fn restored_sessions_rederive_evicted_artifacts_transparently() {
         ))
         .unwrap();
     assert_eq!(re_audit.secure, first.report.secure);
+}
+
+/// A multi-tenant drive through one registry over a Monte-Carlo engine, so
+/// every artifact kind is memoized: four tenants publish four views in
+/// rotated orders, auditing each as a candidate first. Calls `after` with
+/// the engine after every request and returns the report stream.
+fn drive_tenants(budget: Option<usize>, mut after: impl FnMut(&AuditEngine)) -> Vec<String> {
+    let schema = schema();
+    let mut domain = Domain::with_constants(["a", "b", "c"]);
+    let secret = parse("S(x0, x1) :- R(x0, x1)", &schema, &mut domain);
+    let views: Vec<ConjunctiveQuery> = [
+        "V1(x0) :- R(x0, x1)",
+        "V2(x1) :- R(x0, x1)",
+        "V3(x0) :- R(x0, 'a')",
+        "V4() :- R('b', x1)",
+    ]
+    .iter()
+    .map(|t| parse(t, &schema, &mut domain))
+    .collect();
+    let space = TupleSpace::full(&schema, &domain).unwrap();
+    let mut builder = AuditEngine::builder(schema, domain)
+        .dictionary(Dictionary::half(space))
+        .default_depth(AuditDepth::Probabilistic)
+        .exact_cutover(4)
+        .mc_samples(256)
+        .mc_seed(3);
+    if let Some(total) = budget {
+        builder = builder.cache_budget_bytes(total);
+    }
+    let engine = Arc::new(builder.build());
+    let registry = SessionRegistry::new(Arc::clone(&engine));
+    let mut reports = Vec::new();
+    for tenant in 0..4 {
+        let name = format!("tenant-{tenant}");
+        registry.open(&name, &secret).unwrap();
+        after(&engine);
+        for k in 0..views.len() {
+            let view = &views[(tenant + k) % views.len()];
+            let candidate = registry.audit_candidate(&name, None, view).unwrap();
+            after(&engine);
+            let published = registry.publish(&name, None, None, view.clone()).unwrap();
+            after(&engine);
+            reports.push(serde_json::to_string(&candidate).unwrap());
+            reports.push(serde_json::to_string(&published).unwrap());
+        }
+    }
+    reports
+}
+
+#[test]
+fn a_budget_bounds_residency_after_every_request_of_a_multi_tenant_drive() {
+    // Below the drive's ~86 KiB working set, above any single artifact.
+    const BUDGET: usize = 16 * 1024;
+    let unbounded = drive_tenants(None, |_| {});
+    let mut evictions = 0;
+    let bounded = drive_tenants(Some(BUDGET), |engine| {
+        let memo = engine.cache().stats().total();
+        assert_eq!(memo.resident_bytes, engine.cache_stats().resident_bytes);
+        assert!(
+            memo.resident_bytes <= BUDGET as u64 || memo.entries == 1,
+            "{} B resident in {} entries under a {BUDGET} B budget",
+            memo.resident_bytes,
+            memo.entries
+        );
+        evictions = memo.evictions;
+    });
+    assert!(evictions > 0, "the budget must be tight enough to evict");
+    assert_eq!(bounded, unbounded);
+}
+
+#[test]
+fn a_budget_that_holds_the_working_set_evicts_nothing() {
+    let mut working_set = 0;
+    let unbounded = drive_tenants(None, |engine| {
+        working_set = working_set.max(engine.cache_stats().resident_bytes);
+    });
+    let mut last = None;
+    let bounded = drive_tenants(Some(working_set as usize), |engine| {
+        last = Some(engine.cache_stats());
+    });
+    let stats = last.unwrap();
+    assert_eq!(stats.evictions, 0, "{stats:?}");
+    assert_eq!(stats.resident_bytes, working_set);
+    assert_eq!(bounded, unbounded);
 }
