@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default number of tenants driven through the registry.
 pub const DEFAULT_TENANTS: usize = 6;
@@ -165,16 +165,17 @@ pub struct SaturationReport {
 pub struct InstrumentationReport {
     /// Requests per drive (tenants × script length).
     pub requests: usize,
-    /// Best-of-N wall clock with tracing off, nanoseconds.
+    /// Median wall clock of one drive with tracing off, nanoseconds.
     pub off_nanos: u64,
-    /// Best-of-N wall clock with tracing on, nanoseconds.
+    /// Median wall clock of one drive with tracing on, nanoseconds.
     pub on_nanos: u64,
-    /// Requests per second with tracing off.
+    /// Requests per second with tracing off, from `off_nanos`.
     pub off_rps: f64,
-    /// Requests per second with tracing on.
+    /// Requests per second with tracing on, from `on_nanos`.
     pub on_rps: f64,
-    /// `on_rps / off_rps` — the throughput retained with the telemetry
-    /// plane fully enabled (1.0 = free; the gate holds this at ≥ 0.95).
+    /// The median over pairs of back-to-back drives of the throughput
+    /// retained with the telemetry plane fully enabled, `off / on` drive
+    /// time (1.0 = free; the gate holds this at ≥ 0.95).
     pub retained_throughput: f64,
     /// Whether the traced drive's responses were byte-identical to the
     /// untraced drive's.
@@ -629,10 +630,24 @@ fn drive_embedded(workload: &Workload, scripts: &[Vec<String>], collect: bool) -
     responses
 }
 
+/// Time each shape of the instrumentation measurement runs per round.
+const INSTRUMENTATION_ROUND: Duration = Duration::from_millis(50);
+
+/// The median of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 /// Measures the cost of the telemetry plane: the same embedded drive with
 /// span tracing off and fully on. Verifies byte-identity first (the
-/// observability-transparency claim), then times both shapes. Leaves the
-/// process-global tracing flag off.
+/// observability-transparency claim), then times `iterations` rounds in
+/// which each shape runs for at least [`INSTRUMENTATION_ROUND`]. Within a
+/// round the shapes alternate drive by drive, in pairs whose order also
+/// alternates, so a change in the host's speed that outlasts one ~2 ms
+/// drive hits both members of a pair alike. The reported ratio is the
+/// median of the per-pair ratios, which the pairs a speed change splits do
+/// not move. Leaves the process-global tracing flag off.
 fn run_instrumentation(
     workload: &Workload,
     tenants: usize,
@@ -645,36 +660,45 @@ fn run_instrumentation(
     qvsec_obs::set_tracing(true);
     let on_responses = drive_embedded(workload, &scripts, true);
     let responses_match = off_responses == on_responses;
-    // Each timed pass repeats the drive to amortize clock granularity, and
-    // the off/on passes interleave so frequency drift and cache warmth hit
-    // both shapes equally — a 1% real effect must not drown in 10% noise.
-    const REPEATS: usize = 4;
-    let mut off_nanos = u64::MAX;
-    let mut on_nanos = u64::MAX;
+    let timed_drive = |tracing: bool| {
+        qvsec_obs::set_tracing(tracing);
+        let start = Instant::now();
+        drive_embedded(workload, &scripts, false);
+        start.elapsed().as_nanos() as u64
+    };
+    let mut pairs: Vec<(u64, u64)> = Vec::new();
+    let round = INSTRUMENTATION_ROUND.as_nanos() as u64;
     for _ in 0..iterations.max(1) {
-        qvsec_obs::set_tracing(false);
-        let start = Instant::now();
-        for _ in 0..REPEATS {
-            drive_embedded(workload, &scripts, false);
+        let (mut off_total, mut on_total) = (0, 0);
+        while off_total < round || on_total < round {
+            let pair = if pairs.len().is_multiple_of(2) {
+                let off = timed_drive(false);
+                (off, timed_drive(true))
+            } else {
+                let on = timed_drive(true);
+                (timed_drive(false), on)
+            };
+            off_total += pair.0;
+            on_total += pair.1;
+            pairs.push(pair);
         }
-        off_nanos = off_nanos.min(start.elapsed().as_nanos() as u64 / REPEATS as u64);
-        qvsec_obs::set_tracing(true);
-        let start = Instant::now();
-        for _ in 0..REPEATS {
-            drive_embedded(workload, &scripts, false);
-        }
-        on_nanos = on_nanos.min(start.elapsed().as_nanos() as u64 / REPEATS as u64);
     }
     qvsec_obs::set_tracing(false);
-    let off_rps = requests as f64 * 1e9 / off_nanos.max(1) as f64;
-    let on_rps = requests as f64 * 1e9 / on_nanos.max(1) as f64;
+    let off_nanos = median(pairs.iter().map(|p| p.0 as f64).collect()) as u64;
+    let on_nanos = median(pairs.iter().map(|p| p.1 as f64).collect()) as u64;
+    let retained = median(
+        pairs
+            .iter()
+            .map(|&(off, on)| off as f64 / on.max(1) as f64)
+            .collect(),
+    );
     InstrumentationReport {
         requests,
         off_nanos,
         on_nanos,
-        off_rps,
-        on_rps,
-        retained_throughput: on_rps / off_rps.max(1e-9),
+        off_rps: requests as f64 * 1e9 / off_nanos.max(1) as f64,
+        on_rps: requests as f64 * 1e9 / on_nanos.max(1) as f64,
+        retained_throughput: retained,
         responses_match,
     }
 }

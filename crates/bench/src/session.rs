@@ -143,7 +143,7 @@ pub(crate) struct Workload {
     pub(crate) domain: Domain,
     pub(crate) dictionary: Option<Dictionary>,
     pub(crate) mc_samples: usize,
-    /// Serving knob: cap on reported leak-entry / violation lists (the
+    /// Serving knob: cap on the reported leak-entry list (the
     /// probabilistic workloads set it, mirroring a server's configuration;
     /// verdict fields are unaffected and warm and cold engines share it).
     pub(crate) report_cap: Option<usize>,

@@ -30,9 +30,11 @@ fn harness_runs_matches_the_baseline_and_reports_pool_reuse() {
     assert!(by_name("table1-row4").independent);
     assert_eq!(by_name("table1-row4").max_leak, 0.0);
     assert!(by_name("collusion").max_leak > 0.0);
-    // The Monte-Carlo pool was drawn once and reused across passes/audits.
+    // The Monte-Carlo pool was drawn once and reused across passes/audits:
+    // each audit's determinacy pass after its leakage walk, and the second
+    // audit's pool fetch.
     assert_eq!(report.mc.samples_drawn, 500);
-    assert!(report.mc.samples_reused >= 4 * 500);
+    assert!(report.mc.samples_reused >= 3 * 500);
     assert_eq!(report.mc.cutovers, 2);
     assert!(report.mc.determinism_ok);
     // Round-trips through JSON with the estimator fields intact.

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`AuditDepth::Fast`] | §4.2 pairwise subgoal unification | linear-ish, always conclusive when it certifies security |
 //! | [`AuditDepth::Exact`] | + Theorem 4.5 critical-tuple criterion | exponential in subgoal overlap, memoized |
-//! | [`AuditDepth::Probabilistic`] | + Definition 4.1 independence, §6.1 leakage, total-disclosure test over the dictionary | one pass of the shared-sample kernel |
+//! | [`AuditDepth::Probabilistic`] | + Definition 4.1 independence (Theorems 4.5 + 4.8 over the dictionary's space), §6.1 leakage, total-disclosure test | critical tuples of the kernel's compilations; one space evaluation for dependent pairs only |
 //!
 //! The fast check always runs first. When it certifies security the exact
 //! stage is skipped entirely — soundly, since "no unifiable subgoal pair"
@@ -67,15 +67,20 @@
 //! ## The probabilistic kernel
 //!
 //! The `Probabilistic` stage routes through the shared-sample kernel of
-//! [`qvsec_prob::kernel`]: tuple spaces up to the configured cutover are
-//! streamed exactly as bit masks (no `Instance` per world, one enumeration
-//! serving independence, leakage *and* total disclosure), larger spaces cut
-//! over to Monte-Carlo estimation from one seeded sample pool shared across
-//! the three passes and across every audit — including all requests of an
-//! [`AuditEngine::audit_batch`] — the engine serves. Each report carries
-//! [`EstimatorReport`] metadata saying which estimator produced it, and
-//! [`AuditEngine::prob_stats`] exposes the kernel's lifetime counters
-//! (worlds streamed, samples drawn/reused, cutovers).
+//! [`qvsec_prob::kernel`]. It decides Definition 4.1 from the critical
+//! tuples of its compiled queries over the dictionary's space (Theorems
+//! 4.5 and 4.8), so an independent pair is answered without evaluating a
+//! world. For a dependent pair, tuple spaces up to the configured cutover
+//! are streamed exactly as bit masks (no `Instance` per world, one
+//! enumeration serving leakage *and* total disclosure); larger spaces cut
+//! over to Monte-Carlo estimation of the leakage from one seeded sample
+//! pool shared across every audit — including all requests of an
+//! [`AuditEngine::audit_batch`] — the engine serves. There, total
+//! disclosure is reported only when it is refuted or established, and is
+//! `None` otherwise. Each report carries [`EstimatorReport`] metadata
+//! saying which estimator produced it, and [`AuditEngine::prob_stats`]
+//! exposes the kernel's lifetime counters (worlds streamed, samples
+//! drawn/reused, cutovers).
 
 use crate::artifacts::CompiledArtifacts;
 use crate::critical::CritStatsSnapshot;
@@ -87,7 +92,9 @@ use crate::session::AuditSession;
 use crate::{QvsError, Result};
 use qvsec_cq::{ConjunctiveQuery, ViewSet};
 use qvsec_data::{Dictionary, Domain, MemoCache, MemoKind, Ratio, Schema, Tuple};
-use qvsec_prob::kernel::{EstimatorReport, KernelConfig, ProbKernel, ProbStatsSnapshot};
+use qvsec_prob::kernel::{
+    EstimatorReport, IndependenceVerdict, KernelConfig, ProbKernel, ProbStatsSnapshot,
+};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -116,10 +123,10 @@ pub enum AuditDepth {
     /// Escalate to the exact Theorem 4.5 critical-tuple criterion.
     #[default]
     Exact,
-    /// Escalate further to the dictionary-level checks: literal
-    /// Definition 4.1 independence, the Section 6.1 leakage measure and the
+    /// Escalate further to the dictionary-level checks: Definition 4.1
+    /// independence, the Section 6.1 leakage measure and the
     /// total-disclosure (determinacy) test. Requires the engine to hold a
-    /// dictionary with an enumerable tuple space.
+    /// dictionary.
     Probabilistic,
 }
 
@@ -199,14 +206,15 @@ pub struct AuditReport {
     pub fast: FastVerdict,
     /// The Theorem 4.5 verdict (present from [`AuditDepth::Exact`] up).
     pub security: Option<SecurityVerdict>,
-    /// The literal Definition 4.1 check (present at
-    /// [`AuditDepth::Probabilistic`]).
-    pub independence: Option<qvsec_prob::independence::IndependenceReport>,
+    /// The Definition 4.1 verdict over the dictionary's space, decided by
+    /// Theorems 4.5 and 4.8 (present at [`AuditDepth::Probabilistic`]).
+    pub independence: Option<IndependenceVerdict>,
     /// The Section 6.1 leakage report (present at
     /// [`AuditDepth::Probabilistic`]).
     pub leakage: Option<LeakageReport>,
-    /// Whether the views determine the secret answer over the dictionary
-    /// (present at [`AuditDepth::Probabilistic`]).
+    /// Whether the views determine the secret answer over the dictionary.
+    /// Present at [`AuditDepth::Probabilistic`] unless the Monte-Carlo
+    /// path could neither refute nor establish it.
     pub totally_disclosed: Option<bool>,
     /// Which estimator served the probabilistic stage — exact mask
     /// streaming or shared-pool Monte-Carlo — with sample count, seed and
@@ -245,20 +253,13 @@ impl AuditReport {
         }
         if let Some(ind) = &self.independence {
             out.push_str(&format!(
-                "statistical check     : {} ({} answer pairs checked)\n",
+                "statistical check     : {} (Theorems 4.5 + 4.8)\n",
                 if ind.independent {
                     "independent"
                 } else {
                     "dependent"
-                },
-                ind.pairs_checked
+                }
             ));
-            if let Some(v) = ind.worst_violation() {
-                out.push_str(&format!(
-                    "  worst shift         : prior {} -> posterior {}\n",
-                    v.prior, v.posterior
-                ));
-            }
         }
         if let Some(leak) = &self.leakage {
             out.push_str(&format!(
@@ -266,8 +267,9 @@ impl AuditReport {
                 leak.max_leak,
                 leak.max_leak_f64()
             ));
-        }
-        if let Some(total) = self.totally_disclosed {
+            let total = self
+                .totally_disclosed
+                .map_or("not established".to_string(), |t| t.to_string());
             out.push_str(&format!("totally disclosed     : {total}\n"));
         }
         if let Some(est) = &self.estimator {
@@ -391,13 +393,11 @@ impl AuditEngineBuilder {
         self
     }
 
-    /// Caps the *reported* leak-entry and independence-violation lists of
-    /// probabilistic audits. Verdicts, `max_leak`, the witness pair and
-    /// `pairs_checked` still cover every pair; the cap only bounds how many
-    /// entries are materialized (lazily — answers are cloned for surviving
-    /// entries only) and serialized. `0` keeps the witness and drops the
-    /// lists. Unset, reports are byte-identical to the enumeration
-    /// baseline.
+    /// Caps the *reported* leak-entry list of probabilistic audits.
+    /// `max_leak`, the witness pair and `pairs_checked` still cover every
+    /// pair; the cap only bounds how many entries are materialized (lazily
+    /// — answers are cloned for surviving entries only) and serialized. `0`
+    /// keeps the witness and drops the list. Unset, every entry is listed.
     pub fn report_cap(mut self, cap: usize) -> Self {
         self.prob_config.report_cap = Some(cap);
         self
@@ -705,9 +705,9 @@ impl AuditEngine {
         };
 
         // Stage 3 — dictionary-level checks, served by the shared-sample
-        // probabilistic kernel: one space evaluation (exact mask streaming
-        // or pooled Monte-Carlo) yields independence, leakage and total
-        // disclosure together.
+        // probabilistic kernel: independence from critical tuples, then —
+        // for dependent pairs only — one space evaluation (exact mask
+        // streaming or pooled Monte-Carlo) for leakage and total disclosure.
         let (independence, leakage, totally_disclosed, estimator) =
             if depth >= AuditDepth::Probabilistic {
                 let _span = qvsec_obs::Span::enter("audit.prob");
@@ -719,7 +719,7 @@ impl AuditEngine {
                 (
                     Some(audit.independence),
                     Some(LeakageReport::from(audit.leakage)),
-                    Some(audit.totally_disclosed),
+                    audit.totally_disclosed,
                     Some(audit.estimator),
                 )
             } else {
@@ -728,7 +728,7 @@ impl AuditEngine {
 
         let class = classify(
             secure == Some(true),
-            totally_disclosed.unwrap_or(false),
+            totally_disclosed == Some(true),
             leakage.as_ref().map(|l| l.max_leak),
             threshold,
         );
@@ -1101,10 +1101,10 @@ mod tests {
         let base_ind = qvsec_prob::independence::check_independence(&s, &views, &dict).unwrap();
         let base_leak = crate::leakage::leakage_exact(&s, &views, &dict).unwrap();
         let base_total = crate::report::is_totally_disclosed(&s, &views, &dict).unwrap();
-        let ind = report.independence.unwrap();
-        assert_eq!(ind.independent, base_ind.independent);
-        assert_eq!(ind.violations, base_ind.violations);
-        assert_eq!(ind.pairs_checked, base_ind.pairs_checked);
+        assert_eq!(
+            report.independence.unwrap().independent,
+            base_ind.independent
+        );
         let leak = report.leakage.unwrap();
         assert_eq!(leak.max_leak, base_leak.max_leak);
         assert_eq!(leak.positive_entries, base_leak.positive_entries);

@@ -12,6 +12,13 @@
 //! This is exactly the lineage construction of Example 4.12
 //! (`Q = t1 ∨ (t2 ∧ t4)`), generalised from boolean queries to one DNF per
 //! possible answer.
+//!
+//! The same witnesses give `crit(Q)` over the space: `t` is critical iff it
+//! lies in a minimal witness of some answer. (If `t ∈ W` for a minimal
+//! witness `W` of `a`, then `a ∈ Q(W)` but `a ∉ Q(W − {t})`; conversely, an
+//! answer lost by removing `t` from `I` had every witness inside `I`
+//! through `t`, minimal ones included.) The kernel decides Definition 4.1
+//! from these sets by Theorems 4.5 and 4.8.
 
 use qvsec_cq::eval::Answer;
 use qvsec_cq::homomorphism::find_homomorphisms;
@@ -37,6 +44,8 @@ pub struct CompiledQuery {
     bits: Vec<Vec<BitSet>>,
     /// Words needed to store one answer-membership signature.
     sig_words: usize,
+    /// `crit(Q)` over the space: the union of the minimal witnesses.
+    critical: BitSet,
 }
 
 /// Keeps only witnesses not strictly containing another witness (the
@@ -131,13 +140,47 @@ impl CompiledQuery {
             })
             .collect();
         let sig_words = answers.len().div_ceil(64);
+        let mut critical = BitSet::new(space_len);
+        for &t in witnesses.iter().flatten().flatten() {
+            critical.insert(t);
+        }
         CompiledQuery {
             answers,
             witnesses,
             masks,
             bits,
             sig_words,
+            critical,
         }
+    }
+
+    /// The compilation conditioned on a degenerate dictionary: witnesses
+    /// holding an `absent` (p = 0) tuple are dropped, `present` (p = 1)
+    /// tuples are removed from the rest, and only the minimal ones are
+    /// kept. Answers left without a witness never occur and are dropped.
+    /// Over the worlds of positive probability the result answers exactly
+    /// as `self` does, and its critical tuples are those of the query as a
+    /// function of the remaining tuples.
+    pub(crate) fn conditioned(&self, absent: &BitSet, present: &BitSet) -> CompiledQuery {
+        let mut answers = Vec::new();
+        let mut witnesses = Vec::new();
+        for (answer, wits) in self.answers.iter().zip(&self.witnesses) {
+            let kept: BTreeSet<Vec<usize>> = wits
+                .iter()
+                .filter(|w| w.iter().all(|&t| !absent.contains(t)))
+                .map(|w| {
+                    w.iter()
+                        .copied()
+                        .filter(|&t| !present.contains(t))
+                        .collect()
+                })
+                .collect();
+            if !kept.is_empty() {
+                answers.push(answer.clone());
+                witnesses.push(minimal(kept));
+            }
+        }
+        CompiledQuery::from_parts(answers, witnesses, self.critical.capacity())
     }
 
     /// The possible answers, sorted.
@@ -163,6 +206,7 @@ impl CompiledQuery {
             .bits
             .iter()
             .flat_map(|per_answer| per_answer.iter())
+            .chain([&self.critical])
             .map(|b| 32 + b.capacity().div_ceil(64) * 8)
             .sum();
         answers + witnesses + bits + std::mem::size_of::<Self>()
@@ -176,6 +220,26 @@ impl CompiledQuery {
     /// The minimal witnesses of answer `i`, as sorted space-index lists.
     pub fn witnesses_of(&self, i: usize) -> &[Vec<usize>] {
         &self.witnesses[i]
+    }
+
+    /// `crit(Q)` over the space: every tuple of some minimal witness.
+    pub(crate) fn critical(&self) -> &BitSet {
+        &self.critical
+    }
+
+    /// The tuples `t` for which some answer's only minimal witness is
+    /// `{t}`: that answer is present exactly when `t` is, so publishing the
+    /// query reveals whether `t` is in the instance.
+    pub(crate) fn revealed(&self) -> BitSet {
+        let mut out = BitSet::new(self.critical.capacity());
+        for wits in &self.witnesses {
+            if let [only] = wits.as_slice() {
+                if let [t] = only.as_slice() {
+                    out.insert(*t);
+                }
+            }
+        }
+        out
     }
 
     /// `u64` words needed for this query's slice of a signature.

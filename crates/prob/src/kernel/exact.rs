@@ -6,13 +6,13 @@
 //! `2^n` masks directly: a world's answer signature is a few witness-mask
 //! containment tests, and its probability is either a popcount table lookup
 //! (uniform dictionaries — the paper's `p = 1/2` models) or one product of
-//! per-tuple factors. The independence, leakage and total-disclosure passes
-//! are all served from the resulting **signature distribution**, so the
-//! tuple space is enumerated exactly once per audit instead of once per
-//! `(answer, view-answer)` pair.
+//! per-tuple factors. The leakage and total-disclosure passes are both
+//! served from the resulting **signature distribution**, so the tuple space
+//! is enumerated exactly once per audit instead of once per
+//! `(answer, view-answer)` pair. Only dependent pairs get here: the kernel
+//! decides independence from critical tuples first.
 
 use super::compile::CompiledQuery;
-use super::montecarlo::SignatureCounts;
 use super::stats::ProbStats;
 use qvsec_data::bitset::MAX_ENUMERABLE;
 use qvsec_data::{DataError, Dictionary, Ratio};
@@ -36,6 +36,16 @@ impl SignatureDistribution {
     pub fn total_mass(&self) -> Ratio {
         self.entries.values().copied().sum()
     }
+}
+
+/// Signature → number of streamed worlds exhibiting it (uniform-mass
+/// dictionaries, where a count stands for `count / total` of the mass).
+#[derive(Debug, Clone, Default)]
+pub struct SignatureCounts {
+    /// Distinct signatures with their multiplicities.
+    pub counts: HashMap<Vec<u64>, u64>,
+    /// Total number of worlds counted (`2^n`).
+    pub total: u64,
 }
 
 /// Per-world probability evaluation, with a popcount fast path for uniform
@@ -93,48 +103,11 @@ pub fn stream_exact(
     compiled: &[Arc<CompiledQuery>],
     stats: &ProbStats,
 ) -> Result<SignatureDistribution, DataError> {
-    let n = dict.len();
-    if n > MAX_ENUMERABLE {
-        return Err(DataError::EnumerationTooLarge(n));
-    }
-    let worlds: u64 = 1u64 << n;
     let prob = MaskProbability::build(dict);
-
-    // Fixed-size chunks of the mask range; each worker accumulates a local
-    // map, merged below. Chunk count is independent of the thread count so
-    // the arithmetic (hence the result) never depends on scheduling.
-    let chunk_len: u64 = (worlds >> 6).clamp(1, 1 << 14);
-    let chunks: Vec<u64> = (0..worlds.div_ceil(chunk_len)).collect();
-    let partials: Vec<HashMap<Vec<u64>, Ratio>> = chunks
-        .par_iter()
-        .map(|&c| {
-            let lo = c * chunk_len;
-            let hi = (lo + chunk_len).min(worlds);
-            let mut local: HashMap<Vec<u64>, Ratio> = HashMap::new();
-            let mut sig = Vec::new();
-            for mask in lo..hi {
-                let p = prob.of(mask);
-                if p.is_zero() {
-                    continue;
-                }
-                sig.clear();
-                for q in compiled {
-                    q.push_answer_bits_mask(mask, &mut sig);
-                }
-                *local.entry(sig.clone()).or_insert(Ratio::ZERO) += p;
-            }
-            local
-        })
-        .collect();
-
-    let mut out = SignatureDistribution::default();
-    for partial in partials {
-        for (sig, p) in partial {
-            *out.entries.entry(sig).or_insert(Ratio::ZERO) += p;
-        }
-    }
-    stats.add_exact_worlds(worlds);
-    Ok(out)
+    let entries = stream(dict.len(), compiled, stats, Ratio::ZERO, |mask| {
+        Some(prob.of(mask)).filter(|p| !p.is_zero())
+    })?;
+    Ok(SignatureDistribution { entries })
 }
 
 /// Streams every world of a **uniform-mass** dictionary (all tuple
@@ -142,50 +115,65 @@ pub fn stream_exact(
 /// signature histogram — no `Ratio` arithmetic per world at all. The
 /// resulting [`SignatureCounts`] with `total = 2^n` carries exactly the
 /// information of [`stream_exact`]'s distribution (each mass is
-/// `count / 2^n`); the packed-marginal analysis defers that normalization
-/// to the reported entries. Chunking matches [`stream_exact`], so the
-/// counts are independent of the worker-thread count.
+/// `count / 2^n`); the analysis defers that normalization to the reported
+/// entries. Chunking matches [`stream_exact`], so the counts are
+/// independent of the worker-thread count.
 pub fn stream_exact_counts(
     dict: &Dictionary,
     compiled: &[Arc<CompiledQuery>],
     stats: &ProbStats,
 ) -> Result<SignatureCounts, DataError> {
-    let n = dict.len();
-    if n > MAX_ENUMERABLE {
-        return Err(DataError::EnumerationTooLarge(n));
-    }
     debug_assert!(
         dict.probabilities().iter().all(|&p| p == Ratio::new(1, 2)),
         "count streaming requires uniform 1/2 tuple probabilities"
     );
+    let counts = stream(dict.len(), compiled, stats, 0, |_| Some(1))?;
+    Ok(SignatureCounts {
+        counts,
+        total: 1u64 << dict.len(),
+    })
+}
+
+/// Streams the `2^n` world masks and sums `weight(mask)` per signature,
+/// skipping worlds it weighs `None`. Fixed-size chunks of the mask range
+/// are accumulated by the workers and merged in chunk order; the chunk
+/// count is independent of the thread count, so the arithmetic (hence the
+/// result) never depends on scheduling.
+fn stream<W: Copy + Send + Sync + std::ops::AddAssign>(
+    n: usize,
+    compiled: &[Arc<CompiledQuery>],
+    stats: &ProbStats,
+    zero: W,
+    weight: impl Fn(u64) -> Option<W> + Sync,
+) -> Result<HashMap<Vec<u64>, W>, DataError> {
+    if n > MAX_ENUMERABLE {
+        return Err(DataError::EnumerationTooLarge(n));
+    }
     let worlds: u64 = 1u64 << n;
     let chunk_len: u64 = (worlds >> 6).clamp(1, 1 << 14);
     let chunks: Vec<u64> = (0..worlds.div_ceil(chunk_len)).collect();
-    let partials: Vec<HashMap<Vec<u64>, u64>> = chunks
+    let partials: Vec<HashMap<Vec<u64>, W>> = chunks
         .par_iter()
         .map(|&c| {
             let lo = c * chunk_len;
             let hi = (lo + chunk_len).min(worlds);
-            let mut local: HashMap<Vec<u64>, u64> = HashMap::new();
+            let mut local: HashMap<Vec<u64>, W> = HashMap::new();
             let mut sig = Vec::new();
             for mask in lo..hi {
+                let Some(w) = weight(mask) else { continue };
                 sig.clear();
                 for q in compiled {
                     q.push_answer_bits_mask(mask, &mut sig);
                 }
-                *local.entry(sig.clone()).or_insert(0) += 1;
+                *local.entry(sig.clone()).or_insert(zero) += w;
             }
             local
         })
         .collect();
-
-    let mut out = SignatureCounts {
-        counts: HashMap::new(),
-        total: worlds,
-    };
+    let mut out = HashMap::new();
     for partial in partials {
-        for (sig, c) in partial {
-            *out.counts.entry(sig).or_insert(0) += c;
+        for (sig, w) in partial {
+            *out.entry(sig).or_insert(zero) += w;
         }
     }
     stats.add_exact_worlds(worlds);

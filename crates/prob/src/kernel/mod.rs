@@ -1,24 +1,34 @@
 //! The shared-sample probabilistic kernel behind `AuditDepth::Probabilistic`.
 //!
-//! The kernel serves the three dictionary-level checks of an audit — the
-//! literal Definition 4.1 independence test, the Section 6.1 leakage
-//! measure, and the total-disclosure (determinacy) test — from **one**
-//! evaluation of the tuple space per audit:
+//! The kernel answers the three dictionary-level questions of an audit —
+//! Definition 4.1 independence, the Section 6.1 leakage measure and total
+//! disclosure (determinacy) — over the dictionary's tuple space:
 //!
-//! * **Exact path** (spaces up to the configured cutover): every world is
-//!   streamed as a `u64` mask and evaluated against per-answer witness
-//!   masks ([`compile`]), accumulating a *signature distribution* — the
-//!   joint distribution of `(S(I), V̄(I))` keyed by packed answer bits
-//!   ([`exact`]). No `Instance` is ever materialized and no homomorphism
-//!   search runs per world; all three checks are aggregations over the
-//!   (typically tiny) set of distinct signatures.
-//! * **Monte-Carlo path** (larger spaces): the same signatures are counted
-//!   over the worlds of a seeded, lazily-built [`SamplePool`] shared across
-//!   the three passes *and* across every audit the kernel serves
-//!   ([`montecarlo`]), with estimates reported as exact count ratios plus a
-//!   standard-error bound.
+//! * **Definition 4.1 is decided, not evaluated.** Every query the engine
+//!   accepts is monotone, so for a dictionary with `0 < p < 1` everywhere
+//!   `S` and `V̄` are independent iff `crit(S) ∩ ⋃ crit(Vᵢ) = ∅`
+//!   (Theorems 4.5 and 4.8). The critical tuples over the space are the
+//!   union of each query's minimal witnesses ([`compile`]); a degenerate
+//!   dictionary (some `p ∈ {0, 1}`) first conditions the witnesses on its
+//!   fixed tuples. No world is looked at, whatever the estimator.
+//! * **Secure pairs stop there.** By Theorem 4.5 every posterior equals its
+//!   prior, so the leak is 0 with no entries, the secret is determined iff
+//!   `crit(S) = ∅`, and `pairs_checked` has a closed form.
+//! * **Insecure pairs, exact path** (spaces up to the configured cutover):
+//!   every world is streamed as a `u64` mask and evaluated against
+//!   per-answer witness masks, accumulating the joint distribution of
+//!   `(S(I), V̄(I))` keyed by packed answer bits ([`exact`]). Leakage and
+//!   determinacy are aggregations over its (typically few) signatures.
+//! * **Insecure pairs, Monte-Carlo path** (larger spaces): leakage is
+//!   estimated over the worlds of a seeded, lazily-built [`SamplePool`]
+//!   shared by every audit the kernel serves ([`montecarlo`]), as exact
+//!   count ratios behind a 3σ filter. Determinacy is never read off the
+//!   samples as `true`: it is refuted by a critical tuple of `S` no view
+//!   depends on or by two pooled worlds, established by a sufficient
+//!   condition on the witnesses, and otherwise reported as not
+//!   established (`None`).
 //!
-//! Every audit reports which estimator produced it ([`EstimatorReport`]),
+//! Every audit reports which estimator served it ([`EstimatorReport`]),
 //! and the kernel keeps lifetime counters of worlds streamed, samples
 //! drawn/reused and exact→Monte-Carlo cutovers ([`ProbStats`]). Its
 //! artifacts — compilations, pool columns, whole audits — live in a
@@ -38,18 +48,20 @@ pub mod pool;
 pub mod stats;
 
 pub use compile::CompiledQuery;
-pub use exact::{stream_exact, stream_exact_counts, SignatureDistribution};
-pub use montecarlo::{answer_flags, count_signatures_from_columns, world_column, SignatureCounts};
+pub use exact::{stream_exact, stream_exact_counts, SignatureCounts, SignatureDistribution};
+pub use montecarlo::{answer_flags, world_column};
 pub use pool::{SamplePool, POOL_CHUNK};
 pub use stats::{ProbStats, ProbStatsSnapshot};
 
-use crate::independence::IndependenceReport;
 use leakage::AnswerBitmaps;
 use qvsec_cq::eval::Answer;
 use qvsec_cq::{canonical_form, ConjunctiveQuery, ViewSet};
-use qvsec_data::bitset::MAX_ENUMERABLE;
-use qvsec_data::{DataError, Dictionary, MemoCache, MemoKey, MemoKind, Ratio, Result, TupleSpace};
+use qvsec_data::bitset::{BitSet, MAX_ENUMERABLE};
+use qvsec_data::{
+    DataError, Dictionary, MemoCache, MemoKey, MemoKind, Ratio, Result, TupleSpace, Value,
+};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// Kernel configuration.
@@ -62,13 +74,11 @@ pub struct KernelConfig {
     pub samples: usize,
     /// Seed of the shared sample pool.
     pub seed: u64,
-    /// Cap on the *reported* leak-entry and independence-violation lists.
-    /// Verdicts (`independent`, `max_leak`, the witness pair,
-    /// `pairs_checked`) are computed over **all** pairs regardless; the cap
-    /// only bounds how many entries are materialized and serialized —
-    /// `Some(0)` keeps the witness and drops the lists entirely. `None`
-    /// (the default) reports everything, byte-identical to the enumeration
-    /// baseline.
+    /// Cap on the *reported* leak-entry list. `max_leak`, the witness pair
+    /// and `pairs_checked` are computed over **all** pairs regardless; the
+    /// cap only bounds how many entries are materialized and serialized —
+    /// `Some(0)` keeps the witness and drops the list. `None` (the default)
+    /// reports every entry, byte-identical to the enumeration baseline.
     #[serde(default)]
     pub report_cap: Option<usize>,
     /// Memoize whole [`KernelAudit`]s keyed by the canonical forms of
@@ -151,18 +161,53 @@ pub struct KernelLeakage {
     pub pairs_checked: usize,
 }
 
-/// Everything the Probabilistic stage needs, from one space evaluation.
+/// The Definition 4.1 verdict: whether `S` and `V̄` are statistically
+/// independent under the kernel's dictionary, decided by Theorems 4.5 and
+/// 4.8 from the critical tuples over the dictionary's space. The literal
+/// definition, [`crate::check_independence`], is its test oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct IndependenceVerdict {
+    /// Whether `S |_P V̄` (Definition 4.1).
+    pub independent: bool,
+}
+
+/// Everything the Probabilistic stage needs, from at most one space
+/// evaluation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelAudit {
-    /// The Definition 4.1 independence verdict.
-    pub independence: IndependenceReport,
+    /// The Definition 4.1 verdict.
+    pub independence: IndependenceVerdict,
     /// The Section 6.1 leakage verdict.
     pub leakage: KernelLeakage,
-    /// Whether the view answers determine the secret answer over the
-    /// evaluated worlds.
-    pub totally_disclosed: bool,
+    /// Whether the view answers determine the secret answer over the worlds
+    /// of positive probability. `None` when the Monte-Carlo path could
+    /// neither refute nor establish it.
+    pub totally_disclosed: Option<bool>,
     /// Which estimator produced the verdicts above.
     pub estimator: EstimatorReport,
+}
+
+impl KernelAudit {
+    /// Bytes a memoized copy holds: its `Arc` allocation plus the answer
+    /// vectors of the witness and of every listed leak entry. A clone
+    /// carries no spare capacity, so this is what one allocates.
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let answer = |a: &Answer| a.len() * size_of::<Value>();
+        let held = |e: &KernelLeakEntry| {
+            answer(&e.query_answer)
+                + e.view_answers.len() * size_of::<Answer>()
+                + e.view_answers.iter().map(answer).sum::<usize>()
+        };
+        let listed: usize = self
+            .leakage
+            .positive_entries
+            .iter()
+            .map(|e| size_of::<KernelLeakEntry>() + held(e))
+            .sum();
+        let witness = self.leakage.witness.as_ref().map_or(0, held);
+        2 * size_of::<usize>() + size_of::<Self>() + witness + listed
+    }
 }
 
 /// The memo kinds a kernel owns.
@@ -184,6 +229,9 @@ pub struct ProbKernel {
     config: KernelConfig,
     stats: ProbStats,
     pool: OnceLock<Arc<SamplePool>>,
+    /// The dictionary's `p = 0` and `p = 1` tuples, when it has any: the
+    /// critical-tuple test runs on witnesses conditioned on them.
+    degenerate: Option<(BitSet, BitSet)>,
     /// The memo of the kernel's artifacts, by canonical form: witness-mask
     /// compilations, answer-bit columns over the shared pool (Monte-Carlo
     /// path) and — when [`KernelConfig::audit_memo`] is on — whole audits,
@@ -204,12 +252,24 @@ impl ProbKernel {
     /// engine's one memo, under its byte budget.
     pub fn with_cache(dict: Arc<Dictionary>, config: KernelConfig, cache: Arc<MemoCache>) -> Self {
         let space = Arc::new(dict.space().clone());
+        let fixed_at = |p: Ratio| {
+            let mut tuples = BitSet::new(space.len());
+            for (i, &q) in dict.probabilities().iter().enumerate() {
+                if q == p {
+                    tuples.insert(i);
+                }
+            }
+            tuples
+        };
+        let (absent, present) = (fixed_at(Ratio::ZERO), fixed_at(Ratio::ONE));
+        let degenerate = (!absent.is_empty() || !present.is_empty()).then_some((absent, present));
         ProbKernel {
             dict,
             space,
             config,
             stats: ProbStats::new(),
             pool: OnceLock::new(),
+            degenerate,
             cache,
         }
     }
@@ -309,7 +369,7 @@ impl ProbKernel {
     }
 
     /// Runs the full Probabilistic stage for one audit: independence,
-    /// leakage and total disclosure from a single space evaluation.
+    /// leakage and total disclosure.
     pub fn evaluate(&self, secret: &ConjunctiveQuery, views: &ViewSet) -> Result<KernelAudit> {
         let queries: Vec<&ConjunctiveQuery> = std::iter::once(secret).chain(views.iter()).collect();
         let keys: Vec<String> = queries.iter().map(|q| canonical_form(q)).collect();
@@ -327,7 +387,7 @@ impl ProbKernel {
         }
         let audit = self.evaluate_fresh(&queries, &keys)?;
         if let Some(key) = memo_key {
-            let bytes = approx_audit_bytes(&audit) + key.form.len();
+            let bytes = audit.approx_bytes() + key.form.len();
             self.cache.insert(key, Arc::new(audit.clone()), bytes);
         }
         Ok(audit)
@@ -344,25 +404,65 @@ impl ProbKernel {
             .map(|(q, k)| self.compile_cached_keyed(k.clone(), q))
             .collect();
         let answers: Vec<usize> = compiled.iter().map(|q| q.num_answers()).collect();
-        if leakage::checked_combos(&answers).is_none() {
+        let Some(combos) = leakage::checked_combos(&answers) else {
             return Err(DataError::Invalid(format!(
                 "leakage over {} views: secret answers times view answer combos overflows u64",
                 compiled.len() - 1
             )));
+        };
+        // Definition 4.1 by Theorems 4.5 and 4.8: independent iff no
+        // critical tuple of the secret is critical for a view.
+        let lineage: Vec<Cow<'_, CompiledQuery>> =
+            compiled.iter().map(|q| self.conditioned(q)).collect();
+        let mut view_crit = BitSet::new(self.space.len());
+        for view in &lineage[1..] {
+            view_crit = view_crit.union(view.critical());
+        }
+        let secret = &lineage[0];
+        if secret.critical().is_disjoint_from(&view_crit) {
+            return Ok(self.independent_audit(secret, combos));
         }
         let offsets = sig_offsets(&compiled);
+        let cap = self.config.report_cap;
         if self.is_exact() {
             let _span = qvsec_obs::Span::enter("kernel.exact");
             // Uniform-`1/2` dictionaries (the paper's models) give every
             // world the same mass, so the signature distribution is a plain
             // count histogram and the whole analysis runs on integers.
-            if self.uniform_half() {
+            let (leakage, totally_disclosed) = if self.uniform_half() {
                 let counts = stream_exact_counts(&self.dict, &compiled, &self.stats)?;
-                Ok(self.analyse_exact_counts(&compiled, &offsets, &counts))
+                let (sigs, weights): (Vec<&[u64]>, Vec<u64>) = counts
+                    .counts
+                    .iter()
+                    .map(|(sig, &c)| (sig.as_slice(), c))
+                    .unzip();
+                let maps = AnswerBitmaps::from_signatures(&compiled, &offsets, &sigs);
+                let leakage = leakage::leakage_counts(
+                    &compiled,
+                    &maps,
+                    Some(&weights),
+                    counts.total,
+                    false,
+                    cap,
+                );
+                (leakage, determined(sigs.iter().copied(), &offsets))
             } else {
                 let dist = stream_exact(&self.dict, &compiled, &self.stats)?;
-                Ok(self.analyse_exact(&compiled, &offsets, dist))
-            }
+                let (sigs, masses): (Vec<&[u64]>, Vec<Ratio>) = dist
+                    .entries
+                    .iter()
+                    .map(|(sig, &p)| (sig.as_slice(), p))
+                    .unzip();
+                let maps = AnswerBitmaps::from_signatures(&compiled, &offsets, &sigs);
+                let leakage = leakage::leakage_masses(&compiled, &maps, &masses, cap);
+                (leakage, determined(sigs.iter().copied(), &offsets))
+            };
+            Ok(KernelAudit {
+                independence: IndependenceVerdict { independent: false },
+                leakage,
+                totally_disclosed: Some(totally_disclosed),
+                estimator: self.estimator(EstimatorMode::Exact, 1u64 << self.space.len(), None),
+            })
         } else {
             let _span = qvsec_obs::Span::enter("kernel.mc");
             self.stats.add_cutover();
@@ -375,22 +475,84 @@ impl ProbKernel {
                 .zip(keys)
                 .map(|(q, k)| self.column_cached(k, &pool, q))
                 .collect();
-            let counts = count_signatures_from_columns(&columns, &compiled, pool.len());
-            // The leakage and total-disclosure passes are served from the
-            // same pooled worlds the independence pass counted: leakage
-            // walks the columns transposed into per-answer bitmaps.
-            self.stats.add_samples_reused(2 * pool.len() as u64);
             let maps = AnswerBitmaps::from_columns(&compiled, &columns, pool.len());
-            Ok(analyse_mc_packed(
-                &compiled,
-                &offsets,
-                &counts,
-                &maps,
-                &pool,
-                self.space.len(),
-                self.config.report_cap,
-            ))
+            let n = pool.len().max(1) as u64;
+            let leakage = leakage::leakage_counts(&compiled, &maps, None, n, true, cap);
+            let totally_disclosed = self.sampled_determinacy(&lineage, &view_crit, || {
+                // A second pass over the pool, after the leakage walk's.
+                self.stats.add_samples_reused(pool.len() as u64);
+                refuted_by(&columns, &compiled, pool.len())
+            });
+            Ok(KernelAudit {
+                independence: IndependenceVerdict { independent: false },
+                leakage,
+                totally_disclosed,
+                estimator: self.estimator(EstimatorMode::MonteCarlo, 0, Some(&pool)),
+            })
         }
+    }
+
+    /// `q` conditioned on the dictionary's `p = 0` and `p = 1` tuples — `q`
+    /// itself when there are none.
+    fn conditioned<'a>(&self, q: &'a CompiledQuery) -> Cow<'a, CompiledQuery> {
+        match &self.degenerate {
+            None => Cow::Borrowed(q),
+            Some((absent, present)) => Cow::Owned(q.conditioned(absent, present)),
+        }
+    }
+
+    /// The audit of an independent pair, from Theorem 4.5 alone: every
+    /// posterior equals its prior, so no pair leaks, and the secret is
+    /// determined iff it is constant (`crit(S) = ∅`). `secret` is the
+    /// conditioned compilation, whose answers are exactly those of positive
+    /// prior. No world is streamed or sampled.
+    fn independent_audit(&self, secret: &CompiledQuery, combos: u64) -> KernelAudit {
+        let mode = if self.is_exact() {
+            EstimatorMode::Exact
+        } else {
+            EstimatorMode::MonteCarlo
+        };
+        KernelAudit {
+            independence: IndependenceVerdict { independent: true },
+            leakage: KernelLeakage {
+                pairs_checked: secret.num_answers() * combos as usize,
+                ..KernelLeakage::default()
+            },
+            totally_disclosed: Some(secret.critical().is_empty()),
+            estimator: self.estimator(mode, 0, None),
+        }
+    }
+
+    /// Determinacy on the Monte-Carlo path of a dependent pair, by the
+    /// first test that applies (`lineage` is conditioned, secret first):
+    ///
+    /// 1. a critical tuple `t` of `S` that no view depends on refutes it —
+    ///    `I` and `I − {t}` agree on every view and differ on `S`;
+    /// 2. two pooled worlds with equal view answers and different secret
+    ///    answers refute it (`refuted`);
+    /// 3. if every critical tuple of `S` is the only minimal witness of
+    ///    some view answer, the views reveal `I ∩ crit(S)`, on which `S(I)`
+    ///    depends alone, so it holds;
+    /// 4. otherwise it is not established (`None`): samples that fail to
+    ///    refute determinacy do not prove it.
+    fn sampled_determinacy(
+        &self,
+        lineage: &[Cow<'_, CompiledQuery>],
+        view_crit: &BitSet,
+        refuted: impl FnOnce() -> bool,
+    ) -> Option<bool> {
+        let secret_crit = lineage[0].critical();
+        if !secret_crit.is_subset_of(view_crit) {
+            return Some(false);
+        }
+        if refuted() {
+            return Some(false);
+        }
+        let mut revealed = BitSet::new(self.space.len());
+        for view in &lineage[1..] {
+            revealed = revealed.union(&view.revealed());
+        }
+        secret_crit.is_subset_of(&revealed).then_some(true)
     }
 
     /// Whether every tuple probability is exactly `1/2` — then all `2^n`
@@ -403,100 +565,24 @@ impl ProbKernel {
         !probs.is_empty() && probs.iter().all(|&p| p == half)
     }
 
-    fn exact_estimator(&self) -> EstimatorReport {
+    /// The estimator block: `worlds` streamed exactly, or the pool's
+    /// samples under Monte-Carlo.
+    fn estimator(
+        &self,
+        mode: EstimatorMode,
+        worlds: u64,
+        pool: Option<&SamplePool>,
+    ) -> EstimatorReport {
+        let samples = pool.map_or(0, |p| p.len());
         EstimatorReport {
-            mode: EstimatorMode::Exact,
+            mode,
             space_size: self.space.len(),
-            worlds_streamed: 1u64 << self.space.len(),
-            sample_count: 0,
-            seed: None,
-            std_error: 0.0,
+            worlds_streamed: worlds,
+            sample_count: samples,
+            seed: pool.map(|p| p.seed()),
+            std_error: pool.map_or(0.0, |_| 0.5 / (samples.max(1) as f64).sqrt()),
         }
     }
-
-    /// Exact analysis over mass-weighted signatures (general dictionaries):
-    /// packed marginals with `Ratio` weights.
-    fn analyse_exact(
-        &self,
-        compiled: &[Arc<CompiledQuery>],
-        offsets: &[usize],
-        dist: SignatureDistribution,
-    ) -> KernelAudit {
-        let entries: Vec<(Vec<u64>, Ratio)> = dist.entries.into_iter().collect();
-        let borrowed: Vec<(&[u64], Ratio)> = entries
-            .iter()
-            .map(|(sig, p)| (sig.as_slice(), *p))
-            .collect();
-        let independence = marginals::independence_packed_masses(
-            compiled,
-            offsets,
-            &borrowed,
-            self.config.report_cap,
-        );
-        let sigs: Vec<&[u64]> = borrowed.iter().map(|(sig, _)| *sig).collect();
-        let masses: Vec<Ratio> = borrowed.iter().map(|(_, p)| *p).collect();
-        let leakage = leakage::leakage_masses(
-            compiled,
-            &AnswerBitmaps::from_signatures(compiled, offsets, &sigs),
-            &masses,
-            self.config.report_cap,
-        );
-        let totally_disclosed = determined(sigs.iter().copied(), offsets);
-        KernelAudit {
-            independence,
-            leakage,
-            totally_disclosed,
-            estimator: self.exact_estimator(),
-        }
-    }
-
-    /// Exact analysis over count-weighted signatures (uniform-`1/2`
-    /// dictionaries): integer marginal accumulators end to end, `Ratio`s
-    /// built only for the reported entries.
-    fn analyse_exact_counts(
-        &self,
-        compiled: &[Arc<CompiledQuery>],
-        offsets: &[usize],
-        counts: &SignatureCounts,
-    ) -> KernelAudit {
-        let entries: Vec<(&[u64], u64)> = counts
-            .counts
-            .iter()
-            .map(|(sig, &c)| (sig.as_slice(), c))
-            .collect();
-        let independence = marginals::independence_packed_counts(
-            compiled,
-            offsets,
-            &entries,
-            counts.total,
-            false,
-            self.config.report_cap,
-        );
-        let sigs: Vec<&[u64]> = entries.iter().map(|(sig, _)| *sig).collect();
-        let weights: Vec<u64> = entries.iter().map(|(_, c)| *c).collect();
-        let leakage = leakage::leakage_counts(
-            compiled,
-            &AnswerBitmaps::from_signatures(compiled, offsets, &sigs),
-            Some(&weights),
-            counts.total,
-            false,
-            self.config.report_cap,
-        );
-        let totally_disclosed = determined(sigs.iter().copied(), offsets);
-        KernelAudit {
-            independence,
-            leakage,
-            totally_disclosed,
-            estimator: self.exact_estimator(),
-        }
-    }
-}
-
-/// Approximate resident bytes of a memoized audit: a fixed overhead for
-/// the report scaffolding plus a per-entry charge for the materialized
-/// violation and leak lists (answer tuples, three/two `Ratio`s each).
-fn approx_audit_bytes(audit: &KernelAudit) -> usize {
-    256 + 160 * audit.independence.violations.len() + 200 * audit.leakage.positive_entries.len()
 }
 
 /// Word offsets of each compiled query's slice within a signature.
@@ -510,8 +596,8 @@ fn sig_offsets(compiled: &[Arc<CompiledQuery>]) -> Vec<usize> {
 }
 
 /// Whether the secret slice of every signature is a function of the view
-/// slices — determinacy over the evaluated worlds (the total-disclosure
-/// test).
+/// slices — determinacy over the streamed worlds (the exact path's
+/// total-disclosure test).
 fn determined<'a>(sigs: impl Iterator<Item = &'a [u64]>, offsets: &[usize]) -> bool {
     let split = offsets[1];
     let mut by_view: std::collections::HashMap<&[u64], &[u64]> = std::collections::HashMap::new();
@@ -528,6 +614,22 @@ fn determined<'a>(sigs: impl Iterator<Item = &'a [u64]>, offsets: &[usize]) -> b
     true
 }
 
+/// Whether two of the first `worlds` pooled worlds have equal view answers
+/// and different secret answers, read from the queries' columns (secret
+/// first): sorted by view answers, such worlds become neighbours.
+fn refuted_by(columns: &[Arc<Vec<u64>>], compiled: &[Arc<CompiledQuery>], worlds: usize) -> bool {
+    let part = |q: usize, w: usize| {
+        let words = compiled[q].sig_words();
+        &columns[q][w * words..(w + 1) * words]
+    };
+    let views = |w: usize| (1..compiled.len()).map(move |q| part(q, w));
+    let mut order: Vec<usize> = (0..worlds).collect();
+    order.sort_unstable_by(|&a, &b| views(a).cmp(views(b)));
+    order
+        .windows(2)
+        .any(|pair| views(pair[0]).eq(views(pair[1])) && part(0, pair[0]) != part(0, pair[1]))
+}
+
 /// Whether `q − p` exceeds three combined standard errors for binomial
 /// estimates over `n` (prior `p`) and `n_cond` (posterior `q`) samples. The
 /// packed count path feeds `c/n` divisions directly; they are bit-identical
@@ -536,46 +638,6 @@ fn determined<'a>(sigs: impl Iterator<Item = &'a [u64]>, offsets: &[usize]) -> b
 pub(crate) fn significant_f64(p: f64, q: f64, n: f64, n_cond: f64) -> bool {
     let sigma = (p * (1.0 - p) / n).sqrt() + (q * (1.0 - q) / n_cond).sqrt();
     (q - p).abs() > 3.0 * sigma
-}
-
-/// The Monte-Carlo analysis: the three verdicts from pooled signature
-/// counts (independence, total disclosure) and per-answer world bitmaps
-/// (leakage), reported as exact count ratios with a 3σ significance filter
-/// on violations and leak entries — integer marginals, `u128`
-/// cross-multiplied tests, and no `AnswerSet` decoded until a violation or
-/// leak entry is reported.
-fn analyse_mc_packed(
-    compiled: &[Arc<CompiledQuery>],
-    offsets: &[usize],
-    counts: &SignatureCounts,
-    maps: &AnswerBitmaps,
-    pool: &SamplePool,
-    space_size: usize,
-    report_cap: Option<usize>,
-) -> KernelAudit {
-    let n = counts.total.max(1);
-    let entries: Vec<(&[u64], u64)> = counts
-        .counts
-        .iter()
-        .map(|(sig, &c)| (sig.as_slice(), c))
-        .collect();
-    let independence =
-        marginals::independence_packed_counts(compiled, offsets, &entries, n, true, report_cap);
-    let leakage = leakage::leakage_counts(compiled, maps, None, n, true, report_cap);
-    let totally_disclosed = determined(entries.iter().map(|(sig, _)| *sig), offsets);
-    KernelAudit {
-        independence,
-        leakage,
-        totally_disclosed,
-        estimator: EstimatorReport {
-            mode: EstimatorMode::MonteCarlo,
-            space_size,
-            worlds_streamed: 0,
-            sample_count: pool.len(),
-            seed: Some(pool.seed()),
-            std_error: 0.5 / (n as f64).sqrt(),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -602,12 +664,11 @@ mod tests {
         let kernel = ProbKernel::new(Arc::clone(&dict), KernelConfig::default());
         let audit = kernel.evaluate(&s, &views).unwrap();
         let baseline = check_independence(&s, &views, &dict).unwrap();
+        assert!(!baseline.independent);
         assert_eq!(audit.independence.independent, baseline.independent);
-        assert_eq!(audit.independence.pairs_checked, baseline.pairs_checked);
-        assert_eq!(audit.independence.violations, baseline.violations);
         assert_eq!(audit.estimator.mode, EstimatorMode::Exact);
         assert_eq!(audit.estimator.worlds_streamed, 16);
-        assert!(!audit.totally_disclosed);
+        assert_eq!(audit.totally_disclosed, Some(false));
         assert!(audit.leakage.max_leak > Ratio::ZERO);
         assert_eq!(kernel.stats().exact_worlds_streamed, 16);
         assert_eq!(kernel.stats().cutovers, 0);
@@ -623,7 +684,12 @@ mod tests {
         assert!(audit.independence.independent);
         assert!(audit.leakage.max_leak.is_zero());
         assert!(audit.leakage.witness.is_none());
-        assert!(!audit.totally_disclosed);
+        // Both secret answers have a positive prior; the view has two.
+        assert_eq!(audit.leakage.pairs_checked, 2 * 2);
+        assert_eq!(audit.totally_disclosed, Some(false));
+        // Theorem 4.5 decides the pair: no world is streamed.
+        assert_eq!(audit.estimator.worlds_streamed, 0);
+        assert_eq!(kernel.stats().exact_worlds_streamed, 0);
     }
 
     #[test]
@@ -631,9 +697,22 @@ mod tests {
         let (schema, mut domain, dict) = setup();
         let s = parse_query("S(x) :- R(x, y)", &schema, &mut domain).unwrap();
         let v = parse_query("V(x, y) :- R(x, y)", &schema, &mut domain).unwrap();
-        let kernel = ProbKernel::new(dict, KernelConfig::default());
-        let audit = kernel.evaluate(&s, &ViewSet::single(v)).unwrap();
-        assert!(audit.totally_disclosed);
+        let views = ViewSet::single(v);
+        let kernel = ProbKernel::new(Arc::clone(&dict), KernelConfig::default());
+        assert_eq!(
+            kernel.evaluate(&s, &views).unwrap().totally_disclosed,
+            Some(true)
+        );
+        // On the Monte-Carlo path samples can only fail to refute
+        // determinacy; the identity view reveals every critical tuple of the
+        // secret, which establishes it.
+        let config = KernelConfig {
+            exact_cutover: 0,
+            samples: 64,
+            ..KernelConfig::default()
+        };
+        let mc = ProbKernel::new(dict, config).evaluate(&s, &views).unwrap();
+        assert_eq!(mc.totally_disclosed, Some(true));
     }
 
     #[test]
@@ -655,23 +734,23 @@ mod tests {
         assert_eq!(first.estimator.sample_count, 4000);
         assert_eq!(first.estimator.seed, Some(17));
         assert!(first.estimator.std_error > 0.0);
-        // Example 4.2 dependence is strong; 4000 samples find it.
         assert!(!first.independence.independent);
+        // Determinacy reads the pool a second time, and refutes it there.
+        assert_eq!(first.totally_disclosed, Some(false));
         let after_one = kernel.stats();
         assert_eq!(after_one.samples_drawn, 4000);
-        assert_eq!(after_one.samples_reused, 2 * 4000);
+        assert_eq!(after_one.samples_reused, 4000);
         assert_eq!(after_one.cutovers, 1);
         let second = kernel.evaluate(&s, &views).unwrap();
         let after_two = kernel.stats();
         assert_eq!(after_two.samples_drawn, 4000, "pool drawn once");
-        assert_eq!(after_two.samples_reused, 5 * 4000);
+        assert_eq!(after_two.samples_reused, 3 * 4000);
         assert_eq!(after_two.cutovers, 2);
         // Same pool, same signatures: the two audits are identical.
         assert_eq!(
-            first.independence.violations,
-            second.independence.violations
+            serde_json::to_string(&first).unwrap(),
+            serde_json::to_string(&second).unwrap()
         );
-        assert_eq!(first.leakage, second.leakage);
     }
 
     #[test]
@@ -687,12 +766,13 @@ mod tests {
         };
         let kernel = ProbKernel::new(dict, config);
         let audit = kernel.evaluate(&s, &ViewSet::single(v)).unwrap();
-        assert!(
-            audit.independence.independent,
-            "3σ filter must not flag a perfectly secure pair: {:?}",
-            audit.independence.violations
-        );
+        assert!(audit.independence.independent);
         assert!(audit.leakage.max_leak.is_zero());
+        // A secure pair touches neither the pool nor a column.
+        assert_eq!(audit.estimator.sample_count, 0);
+        let stats = kernel.stats();
+        assert_eq!((stats.samples_drawn, stats.cutovers), (0, 0));
+        assert_eq!(stats.pool_columns_built, 0);
     }
 
     #[test]
@@ -739,10 +819,7 @@ mod tests {
         let snap = kernel.stats();
         assert_eq!(snap.exact_worlds_streamed, 16, "memo hit streams nothing");
         assert_eq!(snap.audit_memo_hits, 1);
-        assert_eq!(
-            first.independence.violations,
-            second.independence.violations
-        );
+        assert_eq!(first.independence, second.independence);
         assert_eq!(first.leakage, second.leakage);
         assert_eq!(first.totally_disclosed, second.totally_disclosed);
 
@@ -760,7 +837,7 @@ mod tests {
         assert_eq!(snap.audit_memo_hits, 0, "each insert evicts the other");
         assert_eq!(snap.exact_worlds_streamed, 48, "all three recompute");
         assert!(snap.evictions >= 2);
-        assert_eq!(a.independence.violations, b.independence.violations);
+        assert_eq!(a.independence, b.independence);
         assert_eq!(a.leakage, b.leakage);
     }
 

@@ -14,11 +14,13 @@
 //! * lineage (supporting tuple sets and DNF witnesses) used to build reduced
 //!   tuple spaces and asymptotic estimates ([`lineage`]), and
 //! * the **shared-sample probabilistic kernel** ([`kernel`]): the scalable
-//!   path behind the engine's `Probabilistic` stage — exact mask streaming
-//!   with an automatic cutover to batched Monte-Carlo over a seeded sample
-//!   pool reused across passes and audits. Its pool is the workspace's one
-//!   Monte-Carlo estimator: spaces too large to enumerate are estimated
-//!   through [`kernel::SamplePool`] and [`kernel::world_column`].
+//!   path behind the engine's `Probabilistic` stage — Definition 4.1
+//!   decided from critical tuples (Theorems 4.5 and 4.8), then, for
+//!   dependent pairs, exact mask streaming with an automatic cutover to
+//!   batched Monte-Carlo over a seeded sample pool reused across audits.
+//!   Its pool is the workspace's one Monte-Carlo estimator: spaces too
+//!   large to enumerate are estimated through [`kernel::SamplePool`] and
+//!   [`kernel::world_column`].
 //!
 //! All exact computations use the [`qvsec_data::Ratio`] rational type, so the
 //! numbers of the paper's worked examples (`3/16`, `1/3`, `1/4`, ...) are
@@ -41,8 +43,8 @@ pub use independence::{
     check_independence, check_independence_given, IndependenceReport, Violation,
 };
 pub use kernel::{
-    EstimatorMode, EstimatorReport, KernelAudit, KernelConfig, KernelLeakEntry, KernelLeakage,
-    ProbKernel, ProbStats, ProbStatsSnapshot, SamplePool,
+    EstimatorMode, EstimatorReport, IndependenceVerdict, KernelAudit, KernelConfig,
+    KernelLeakEntry, KernelLeakage, ProbKernel, ProbStats, ProbStatsSnapshot, SamplePool,
 };
 pub use lineage::{for_each_grounding, lineage_dnf, support_space, support_tuples};
 pub use poly::{event_polynomial, from_satisfying, Monomial, Polynomial};

@@ -3,8 +3,8 @@
 //! The crate's one Monte-Carlo estimator is the kernel's seeded
 //! [`SamplePool`]: single events are counted over it with [`answer_flags`]
 //! (as `leakage_estimate` and `estimate_mu_n` do in the core crate), and
-//! whole audits with packed signature counts once the space is past the
-//! exact cutover. These tests hold both to the exact probabilities of
+//! whole audits with per-answer bitmaps once the space is past the exact
+//! cutover. These tests hold both to the exact probabilities of
 //! [`crate::probability`] and pin that one seed yields one answer.
 
 mod tests {
@@ -13,7 +13,7 @@ mod tests {
         SamplePool, POOL_CHUNK,
     };
     use crate::probability::{boolean_probability, event_probability};
-    use qvsec_cq::eval::{evaluate, AnswerSet};
+    use qvsec_cq::eval::evaluate;
     use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
     use qvsec_data::{Dictionary, Domain, Ratio, Schema, TupleSpace, Value};
     use std::sync::Arc;
@@ -88,14 +88,9 @@ mod tests {
         let s = parse_query("S() :- R('a', 'b')", &schema, &mut domain).unwrap();
         let v = parse_query("V() :- R('a', x)", &schema, &mut domain).unwrap();
         let audit = mc_audit(&dict, &s, &ViewSet::single(v), 6000, 5);
-        let yes = AnswerSet::from([vec![]]);
-        let violation = audit
-            .independence
-            .violations
-            .iter()
-            .find(|x| x.query_answer == yes && x.view_answers == [yes.clone()])
-            .expect("S true given V true is a violation");
-        let (prior, posterior) = (violation.prior.to_f64(), violation.posterior.to_f64());
+        assert!(!audit.independence.independent);
+        let shift = entry(&audit, &[], &[]).expect("S true given V true leaks");
+        let (prior, posterior) = (shift.prior.to_f64(), shift.posterior.to_f64());
         assert!(
             posterior > prior + 0.05,
             "posterior {posterior} vs prior {prior}"

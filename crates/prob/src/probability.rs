@@ -91,19 +91,6 @@ pub struct JointDistribution {
 }
 
 impl JointDistribution {
-    /// Assembles a distribution from explicit entries (the Monte-Carlo
-    /// oracle's empirical distribution over pooled worlds).
-    #[cfg(test)]
-    pub(crate) fn from_parts(
-        entries: BTreeMap<(AnswerSet, Vec<AnswerSet>), Ratio>,
-        total_mass: Ratio,
-    ) -> Self {
-        JointDistribution {
-            entries,
-            total_mass,
-        }
-    }
-
     /// Iterates over `((s, v̄), probability)` entries with positive mass.
     pub fn iter(&self) -> impl Iterator<Item = (&(AnswerSet, Vec<AnswerSet>), Ratio)> + '_ {
         self.entries.iter().map(|(k, &p)| (k, p))

@@ -89,15 +89,9 @@ fn main() {
         .unwrap();
     let report = full.independence.as_ref().expect("probabilistic depth");
     println!(
-        "  statistically independent: {} ({} answer pairs checked)",
-        report.independent, report.pairs_checked
+        "  statistically independent: {} (Theorems 4.5 + 4.8)",
+        report.independent
     );
-    if let Some(worst) = report.worst_violation() {
-        println!(
-            "  largest probability shift: prior {} -> posterior {}",
-            worst.prior, worst.posterior
-        );
-    }
     let leak = full.leakage.as_ref().expect("probabilistic depth");
     println!(
         "  leak(S, {{Names, Diseases}}) = {} (~{:.4})",

@@ -101,9 +101,8 @@ fn section_2_1_disclosure_is_detected_by_every_layer() {
         .build()
         .audit(&AuditRequest::new(secret.clone(), views.clone()))
         .unwrap();
-    let report = analysis.independence.unwrap();
-    assert!(!report.independent);
-    let worst = report.worst_violation().unwrap();
+    assert!(!analysis.independence.unwrap().independent);
+    let worst = analysis.leakage.unwrap().witness.unwrap();
     assert!(worst.posterior > worst.prior);
 }
 
