@@ -28,10 +28,10 @@
 //! same canonical conjunctive queries, so reports are byte-identical
 //! across them.
 
-use qvsec::engine::{AuditDepth, AuditEngine, AuditRequest};
+use qvsec::engine::{AuditDepth, AuditEngine, AuditEngineBuilder, AuditRequest};
 use qvsec::QvsError;
 use qvsec_cq::{parse_query, ConjunctiveQuery, ViewSet};
-use qvsec_data::{Dictionary, Domain, Ratio, Schema};
+use qvsec_data::{Dictionary, Domain, Ratio, Schema, TupleSpace};
 use serde::Deserialize;
 use std::fmt;
 use std::sync::Arc;
@@ -299,17 +299,19 @@ fn open_spec_store(
     qvsec_store::open_store(config).map_err(|e| CliError::Spec(format!("store: {e}")))
 }
 
-/// Builds an engine bound to `schema`/`domain` with the spec's defaults and
-/// (when declared) a uniform dictionary over the support space of
-/// `queries`.
-fn build_engine(
-    schema: Schema,
+/// The engine builder a spec's `defaults` and `dictionary` declare: the
+/// default depth, minute threshold and candidate cap, and a uniform
+/// dictionary over the tuple space `space` builds for the dictionary's
+/// `cap`, with its estimator knobs.
+fn engine_builder(
+    schema: &Schema,
     domain: &Domain,
-    defaults: &DefaultsSpec,
-    dictionary: &Option<DictionarySpec>,
-    queries: &[&ConjunctiveQuery],
-) -> Result<AuditEngine, CliError> {
-    let mut builder = AuditEngine::builder(schema, domain.clone());
+    defaults: Option<&DefaultsSpec>,
+    dictionary: Option<&DictionarySpec>,
+    space: impl FnOnce(usize) -> Result<TupleSpace, CliError>,
+) -> Result<AuditEngineBuilder, CliError> {
+    let mut builder = AuditEngine::builder(schema.clone(), domain.clone());
+    let defaults = defaults.cloned().unwrap_or_default();
     if let Some(depth) = &defaults.depth {
         builder = builder.default_depth(parse_depth(depth)?);
     }
@@ -321,10 +323,7 @@ fn build_engine(
     }
     if let Some(dict_spec) = dictionary {
         let (n, d) = dict_spec.probability.unwrap_or((1, 2));
-        let cap = dict_spec.cap.unwrap_or(4096);
-        let space = qvsec_prob::lineage::support_space(queries, domain, cap)
-            .map_err(|e| CliError::Spec(format!("dictionary support space: {e}")))?;
-        let dict = Dictionary::uniform(space, Ratio::new(n, d))
+        let dict = Dictionary::uniform(space(dict_spec.cap.unwrap_or(4096))?, Ratio::new(n, d))
             .map_err(|e| CliError::Spec(format!("dictionary: {e}")))?;
         builder = builder.dictionary(dict);
         if let Some(cutover) = dict_spec.exact_cutover {
@@ -336,9 +335,26 @@ fn build_engine(
         if let Some(seed) = dict_spec.seed {
             builder = builder.mc_seed(seed);
         }
-        if let Some(cap) = dict_spec.report_cap {
-            builder = builder.report_cap(cap);
-        }
+    }
+    Ok(builder)
+}
+
+/// Builds an engine bound to `schema`/`domain` with the spec's defaults and
+/// (when declared) a uniform dictionary over the support space of
+/// `queries`.
+fn build_engine(
+    schema: &Schema,
+    domain: &Domain,
+    defaults: Option<&DefaultsSpec>,
+    dictionary: Option<&DictionarySpec>,
+    queries: &[&ConjunctiveQuery],
+) -> Result<AuditEngine, CliError> {
+    let mut builder = engine_builder(schema, domain, defaults, dictionary, |cap| {
+        qvsec_prob::lineage::support_space(queries, domain, cap)
+            .map_err(|e| CliError::Spec(format!("dictionary support space: {e}")))
+    })?;
+    if let Some(cap) = dictionary.and_then(|d| d.report_cap) {
+        builder = builder.report_cap(cap);
     }
     Ok(builder.build())
 }
@@ -346,7 +362,6 @@ fn build_engine(
 /// Builds the engine and requests declared by a spec.
 pub fn prepare(spec: &AuditSpec) -> Result<PreparedAudit, CliError> {
     let (schema, mut domain) = build_schema_domain(&spec.relations, &spec.constants)?;
-    let defaults = spec.defaults.clone().unwrap_or_default();
     let mut parsed = Vec::new();
     for (i, case) in spec.audits.iter().enumerate() {
         let secret = case
@@ -377,7 +392,13 @@ pub fn prepare(spec: &AuditSpec) -> Result<PreparedAudit, CliError> {
         .iter()
         .flat_map(|(s, vs)| std::iter::once(s).chain(vs.iter()))
         .collect();
-    let engine = build_engine(schema, &domain, &defaults, &spec.dictionary, &queries)?;
+    let engine = build_engine(
+        &schema,
+        &domain,
+        spec.defaults.as_ref(),
+        spec.dictionary.as_ref(),
+        &queries,
+    )?;
 
     let mut requests = Vec::new();
     for (case, (secret, views)) in spec.audits.iter().zip(parsed) {
@@ -466,7 +487,6 @@ pub fn parse_session_spec(text: &str) -> Result<SessionSpec, CliError> {
 pub fn run_session_spec(text: &str) -> Result<serde_json::Value, CliError> {
     let spec = parse_session_spec(text)?;
     let (schema, mut domain) = build_schema_domain(&spec.relations, &spec.constants)?;
-    let defaults = spec.defaults.clone().unwrap_or_default();
 
     let secret = spec
         .secret
@@ -503,10 +523,10 @@ pub fn run_session_spec(text: &str) -> Result<serde_json::Value, CliError> {
         .chain(step_views.iter().flatten())
         .collect();
     let engine = Arc::new(build_engine(
-        schema,
+        &schema,
         &domain,
-        &defaults,
-        &spec.dictionary,
+        spec.defaults.as_ref(),
+        spec.dictionary.as_ref(),
         &queries,
     )?);
 
@@ -745,8 +765,8 @@ pub struct ServeSpec {
     /// Sessions idle longer than this many seconds are expired (demoted to
     /// the store, when one is configured).
     pub idle_timeout_secs: Option<u64>,
-    /// Durable store of the tenant journal, e.g.
-    /// `{"backend": "log", "path": "/var/lib/qvsec"}`. The CLI's
+    /// Durable store of the tenant journal: a log store at the block's
+    /// required `path`, e.g. `{"path": "/var/lib/qvsec"}`. The CLI's
     /// `serve --store <PATH>` overrides this with a log store at PATH.
     pub store: Option<qvsec_store::StoreConfig>,
     /// Connection-lifecycle knobs for the TCP front end; every field is
@@ -820,18 +840,17 @@ pub const DEFAULT_SERVE_REPORT_CAP: usize = 16;
 /// recomputed on first use.
 pub fn build_registry(spec: &ServeSpec) -> Result<qvsec_serve::SessionRegistry, CliError> {
     let (schema, domain) = build_schema_domain(&spec.relations, &spec.constants)?;
-    let defaults = spec.defaults.clone().unwrap_or_default();
     let store = spec.store.as_ref().map(open_spec_store).transpose()?;
-    let mut builder = AuditEngine::builder(schema.clone(), domain.clone());
-    if let Some(depth) = &defaults.depth {
-        builder = builder.default_depth(parse_depth(depth)?);
-    }
-    if let Some((n, d)) = defaults.minute_threshold {
-        builder = builder.minute_threshold(Ratio::new(n, d));
-    }
-    if let Some(cap) = defaults.candidate_cap {
-        builder = builder.candidate_cap(cap);
-    }
+    let mut builder = engine_builder(
+        &schema,
+        &domain,
+        spec.defaults.as_ref(),
+        spec.dictionary.as_ref(),
+        |cap| {
+            TupleSpace::full_with_cap(&schema, &domain, cap)
+                .map_err(|e| CliError::Spec(format!("dictionary tuple space: {e}")))
+        },
+    )?;
     if let Some(total) = spec.cache_budget_bytes {
         builder = builder.cache_budget_bytes(total);
     }
@@ -842,24 +861,6 @@ pub fn build_registry(spec: &ServeSpec) -> Result<qvsec_serve::SessionRegistry, 
         .or(spec.dictionary.as_ref().and_then(|d| d.report_cap))
         .unwrap_or(DEFAULT_SERVE_REPORT_CAP);
     builder = builder.report_cap(report_cap);
-    if let Some(dict_spec) = &spec.dictionary {
-        let (n, d) = dict_spec.probability.unwrap_or((1, 2));
-        let cap = dict_spec.cap.unwrap_or(4096);
-        let space = qvsec_data::TupleSpace::full_with_cap(&schema, &domain, cap)
-            .map_err(|e| CliError::Spec(format!("dictionary tuple space: {e}")))?;
-        let dict = Dictionary::uniform(space, Ratio::new(n, d))
-            .map_err(|e| CliError::Spec(format!("dictionary: {e}")))?;
-        builder = builder.dictionary(dict);
-        if let Some(cutover) = dict_spec.exact_cutover {
-            builder = builder.exact_cutover(cutover);
-        }
-        if let Some(samples) = dict_spec.samples {
-            builder = builder.mc_samples(samples);
-        }
-        if let Some(seed) = dict_spec.seed {
-            builder = builder.mc_seed(seed);
-        }
-    }
     let config = qvsec_serve::RegistryConfig {
         shards: spec.shards.unwrap_or(16),
         idle_timeout: spec.idle_timeout_secs.map(std::time::Duration::from_secs),
@@ -1044,6 +1045,8 @@ mod tests {
 
     #[test]
     fn serve_specs_with_a_store_block_rehydrate_across_builds() {
+        // The key `backend` is no longer read: a `store` block is a log
+        // store at its path, so this older spelling keeps working.
         let dir = std::env::temp_dir().join(format!("qvsec-cli-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1068,6 +1071,45 @@ mod tests {
         assert_eq!(reborn.tenant_count(), 1);
         assert_eq!(serde_json::to_string(&reborn.stats()).unwrap(), before);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_specs_whose_store_block_names_only_a_path_rehydrate_across_builds() {
+        let dir = std::env::temp_dir().join(format!("qvsec-cli-path-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let text = format!(
+            r#"{{
+            "relations": [{{"name": "R", "attributes": ["x", "y"]}}],
+            "constants": ["a", "b"],
+            "store": {{"path": {}}}
+        }}"#,
+            serde_json::to_string(&dir.display().to_string()).unwrap()
+        );
+        let spec = parse_serve_spec(&text).unwrap();
+        let registry = build_registry(&spec).unwrap();
+        let secret = registry.parse("S(x, y) :- R(x, y)").unwrap();
+        let view = registry.parse("V(x) :- R(x, y)").unwrap();
+        registry.publish("t", Some(&secret), None, view).unwrap();
+        let before = serde_json::to_string(&registry.stats()).unwrap();
+        assert!(before.contains(r#""store_backend":"log""#), "{before}");
+        drop(registry);
+
+        let reborn = build_registry(&spec).unwrap();
+        assert_eq!(reborn.tenant_count(), 1);
+        assert_eq!(serde_json::to_string(&reborn.stats()).unwrap(), before);
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["registry%2fjournal.log"]);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A block without a path is refused.
+        let pathless =
+            parse_serve_spec(r#"{"relations": [{"name": "R", "attributes": ["x"]}], "store": {}}"#)
+                .unwrap();
+        let err = build_registry(&pathless).unwrap_err().to_string();
+        assert!(err.contains("`path`"), "{err}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! With a store configured, every successful registry operation — `open`,
 //! `publish`, `candidate`, `snapshot`, `restore`, plus idle-expiry
-//! demotions — writes one atomic batch to the `registry/journal` namespace
-//! of a [`StoreBackend`]. The namespace holds each tenant's *latest state*,
-//! keyed by tenant and overwritten in place, not a history of events:
+//! demotions — writes one atomic batch to a [`StoreBackend`]. The store
+//! holds each tenant's *latest state*, keyed by tenant and overwritten in
+//! place, not a history of events:
 //!
 //! | key | value |
 //! |---|---|
@@ -35,17 +35,16 @@
 //! length back, so `stats` reports the same figures after a restart
 //! without the history.
 //!
-//! **Older stores.** Earlier releases wrote a sequence-keyed event log
-//! instead: `{seq:016x}` → one JSON event per op. The first load of
-//! such a namespace folds the log exactly as those releases replayed it,
-//! then writes the keyed records and deletes every sequence key in one
-//! batch, so a crash mid-migration leaves the old log intact. A migrated
-//! tenant's usage starts from the old log's figures.
+//! **Older stores.** Releases before keyed state wrote a sequence-keyed
+//! event log instead: `{seq:016x}` → one JSON event per op. Loading refuses
+//! a store that still holds such a key, with an error naming that format,
+//! and writes nothing to it.
 //!
 //! The journal is all a durable store holds: compiled artifacts are pure
 //! functions of the queries, stay in memory and are recomputed after a
-//! restart. A failed write therefore surfaces as an error, since losing
-//! tenant state silently would void the cumulative audit.
+//! restart. A failed write therefore surfaces as an error, and the registry
+//! undoes the op it would have recorded, since losing tenant state silently
+//! would void the cumulative audit.
 
 use crate::ServeError;
 use qvsec::session::SessionSnapshot;
@@ -54,9 +53,6 @@ use qvsec_store::{encode_component, StoreBackend, StoreOp};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-
-/// Store namespace holding the registry's tenant state.
-pub const NS_JOURNAL: &str = "registry/journal";
 
 /// Key of the registry-totals record.
 const REGISTRY_KEY: &str = "registry";
@@ -75,7 +71,8 @@ fn snapshot_key(tenant: &str, label: &str) -> String {
     )
 }
 
-/// Whether `key` belongs to the sequence-keyed log of earlier releases.
+/// Whether `key` belongs to the sequence-keyed event log of releases before
+/// keyed state.
 fn is_sequence_key(key: &str) -> bool {
     key.len() == 16 && key.bytes().all(|b| b.is_ascii_hexdigit())
 }
@@ -129,34 +126,6 @@ pub(crate) struct Loaded {
     pub totals: RegistryRecord,
 }
 
-/// One event of the sequence-keyed log earlier releases wrote; read only to
-/// migrate such a log. Decoding looks members up by name and ignores
-/// unknown ones, so events that still carry engine counters decode too.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct JournalEvent {
-    /// `open` | `publish` | `candidate` | `snapshot` | `restore` | `expire`.
-    pub op: String,
-    /// The tenant id.
-    pub tenant: String,
-    /// The tenant's registered secret.
-    pub secret: ConjunctiveQuery,
-    /// The tenant's session state after the operation.
-    pub state: SessionSnapshot,
-    /// The label of a `snapshot` operation (its snapshot is `state`).
-    #[serde(default)]
-    pub snapshot_label: Option<String>,
-    /// An `expire` event's full labelled-snapshot map.
-    #[serde(default)]
-    pub snapshots: Option<HashMap<String, SessionSnapshot>>,
-    /// The tenant's request count after the operation.
-    pub tenant_requests: u64,
-    /// Registry-wide requests dispatched, at append time.
-    pub registry_requests: u64,
-    /// Registry-wide sessions expired, at append time.
-    #[serde(default)]
-    pub registry_expired: u64,
-}
-
 /// Per-tenant journal usage, surfaced through registry stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantStoreUsage {
@@ -178,15 +147,9 @@ fn decode<T: Deserialize>(key: &str, bytes: &[u8]) -> crate::Result<T> {
     serde_json::from_str(text).map_err(|e| ServeError::Store(format!("journal record {key}: {e}")))
 }
 
-/// Decodes one record of the sequence-keyed log; `key` only labels the
-/// error.
-pub(crate) fn decode_event(key: &str, bytes: &[u8]) -> crate::Result<JournalEvent> {
-    decode(key, bytes)
-}
-
 /// Reads `record`'s labelled snapshots through `get`. A label without a
-/// record is left out: only a `snapshot` op whose write failed (and was
-/// answered with an error) leaves one behind.
+/// record is left out: releases that did not undo a failed write kept a
+/// failed `snapshot` op's label, and the tenant's next record listed it.
 fn snapshots_of(
     record: &TenantRecord,
     mut get: impl FnMut(&str) -> crate::Result<Option<Vec<u8>>>,
@@ -210,22 +173,17 @@ pub(crate) struct Journal {
 }
 
 impl Journal {
-    /// Loads the tenant state `store` holds, migrating a sequence-keyed log
-    /// of an earlier release first. Undecodable records are an error — the
-    /// backends already discard torn trailing records, so a record that
-    /// scans but does not decode means real corruption, not a crash
-    /// artifact.
+    /// Loads the tenant state `store` holds. Undecodable records are an
+    /// error — the backends already discard torn trailing records, so a
+    /// record that scans but does not decode means real corruption, not a
+    /// crash artifact — and so is the sequence-keyed log of an earlier
+    /// release. Loading writes nothing.
     pub(crate) fn load(store: Arc<dyn StoreBackend>) -> crate::Result<(Journal, Loaded)> {
-        let scan = |store: &Arc<dyn StoreBackend>| {
-            store
-                .scan(NS_JOURNAL)
-                .map_err(|e| ServeError::Store(format!("journal scan: {e}")))
-        };
-        let mut entries: BTreeMap<String, Vec<u8>> = scan(&store)?.into_iter().collect();
-        if entries.keys().any(|k| is_sequence_key(k)) {
-            migrate(&store, &entries)?;
-            entries = scan(&store)?.into_iter().collect();
-        }
+        let entries: BTreeMap<String, Vec<u8>> = store
+            .scan()
+            .map_err(|e| ServeError::Store(format!("journal scan: {e}")))?
+            .into_iter()
+            .collect();
         let mut loaded = Loaded::default();
         let mut usage = BTreeMap::new();
         for (key, bytes) in &entries {
@@ -246,6 +204,12 @@ impl Journal {
                     let snapshots = snapshots_of(&record, |k| Ok(entries.get(k).cloned()))?;
                     loaded.live.push(StoredTenant { record, snapshots });
                 }
+            } else if is_sequence_key(key) {
+                return Err(ServeError::Store(format!(
+                    "journal record {key}: the store holds a sequence-keyed event log \
+                     ({{seq:016x}} keys) of a release before keyed state, which this \
+                     release does not read"
+                )));
             } else if !key.starts_with(SNAPSHOT_PREFIX) {
                 return Err(ServeError::Store(format!(
                     "journal record {key}: unknown key"
@@ -298,7 +262,7 @@ impl Journal {
         };
         ops.push(StoreOp::put(tenant_key(&record.tenant), text));
         self.store
-            .append_batch(NS_JOURNAL, ops)
+            .append_batch(ops)
             .map_err(|e| ServeError::Store(format!("journal append: {e}")))?;
         self.usage
             .lock()
@@ -326,7 +290,7 @@ impl Journal {
 
     fn get(&self, key: &str) -> crate::Result<Option<Vec<u8>>> {
         self.store
-            .get(NS_JOURNAL, key)
+            .get(key)
             .map_err(|e| ServeError::Store(format!("journal get: {e}")))
     }
 
@@ -351,75 +315,6 @@ impl Journal {
                 acc
             })
     }
-}
-
-/// Rewrites the sequence-keyed log of an earlier release as keyed state.
-/// The log is folded exactly as those releases replayed it: per tenant, the
-/// last event holds the secret, state and request count; `snapshot` events
-/// add their state under their label; an `expire` event carries the whole
-/// snapshot map and demotes the tenant until its next event; the last
-/// event overall holds the registry totals. Every record is written and
-/// every sequence key deleted in one batch.
-fn migrate(
-    store: &Arc<dyn StoreBackend>,
-    entries: &BTreeMap<String, Vec<u8>>,
-) -> crate::Result<()> {
-    type Folded = (
-        JournalEvent,
-        HashMap<String, SessionSnapshot>,
-        TenantStoreUsage,
-    );
-    let mut tenants: BTreeMap<String, Folded> = BTreeMap::new();
-    let mut totals = RegistryRecord::default();
-    // Sequence keys are fixed-width hex, so key order is append order.
-    for (key, bytes) in entries {
-        if !is_sequence_key(key) {
-            return Err(ServeError::Store(format!(
-                "journal record {key}: sequence keys mixed with keyed state"
-            )));
-        }
-        let mut event = decode_event(key, bytes)?;
-        totals = RegistryRecord {
-            requests: event.registry_requests,
-            expired: event.registry_expired,
-        };
-        let (mut snapshots, mut usage) = match tenants.remove(&event.tenant) {
-            Some((_, snapshots, usage)) => (snapshots, usage),
-            None => Default::default(),
-        };
-        if event.op == "expire" {
-            snapshots = event.snapshots.take().unwrap_or_default();
-        } else if event.op == "snapshot" {
-            if let Some(label) = &event.snapshot_label {
-                snapshots.insert(label.clone(), event.state.clone());
-            }
-        }
-        usage.records += 1;
-        usage.bytes += bytes.len() as u64;
-        tenants.insert(event.tenant.clone(), (event, snapshots, usage));
-    }
-    let mut ops: Vec<StoreOp> = entries.keys().map(StoreOp::delete).collect();
-    ops.push(StoreOp::put(REGISTRY_KEY, encode(&totals)?));
-    for (tenant, (event, snapshots, usage)) in tenants {
-        let mut labels: Vec<String> = snapshots.keys().cloned().collect();
-        labels.sort();
-        for (label, state) in &snapshots {
-            ops.push(StoreOp::put(snapshot_key(&tenant, label), encode(state)?));
-        }
-        let record = TenantRecord {
-            demoted: event.op == "expire",
-            tenant,
-            secret: event.secret,
-            state: event.state,
-            requests: event.tenant_requests,
-            snapshots: labels,
-            usage,
-        };
-        ops.push(StoreOp::put(tenant_key(&record.tenant), encode(&record)?));
-    }
-    store
-        .append_batch(NS_JOURNAL, ops)
-        .map_err(|e| ServeError::Store(format!("journal migration: {e}")))
 }
 
 #[cfg(test)]
@@ -448,12 +343,7 @@ mod tests {
     }
 
     fn keys(store: &Arc<dyn StoreBackend>) -> Vec<String> {
-        store
-            .scan(NS_JOURNAL)
-            .unwrap()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect()
+        store.scan().unwrap().into_iter().map(|(k, _)| k).collect()
     }
 
     #[test]
@@ -504,7 +394,7 @@ mod tests {
         for key in ["tenant/a", "0000000000000000"] {
             let store: Arc<dyn StoreBackend> = Arc::new(qvsec_store::MemStore::new());
             store
-                .append_batch(NS_JOURNAL, vec![StoreOp::put(key, b"{not json".to_vec())])
+                .append_batch(vec![StoreOp::put(key, b"{not json".to_vec())])
                 .unwrap();
             assert!(
                 matches!(Journal::load(store), Err(ServeError::Store(_))),

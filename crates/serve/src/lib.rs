@@ -40,7 +40,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 
-pub use journal::{TenantStoreUsage, NS_JOURNAL};
+pub use journal::TenantStoreUsage;
 pub use metrics::{collect_metrics, serve_metrics_http};
 pub use protocol::{
     closing_notice, error_response, error_response_with_detail, handle_request,

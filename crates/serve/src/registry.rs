@@ -157,6 +157,29 @@ struct Tenant {
 
 type Shard = Mutex<HashMap<String, Arc<Mutex<Tenant>>>>;
 
+/// How [`SessionRegistry::tenant_entry`] came by a tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arrival {
+    /// It was live in its shard.
+    Live,
+    /// The request opened it.
+    Opened,
+    /// The request revived it from its demoted record.
+    Revived,
+}
+
+/// What an op changes in its tenant besides the request count, which is
+/// what a failed journal write has to undo.
+#[derive(Debug, Clone, Copy)]
+enum Change<'a> {
+    /// Nothing (`open`, `candidate`).
+    Nothing,
+    /// The session state (`publish`, `restore`).
+    Session,
+    /// The snapshot under this label (`snapshot`).
+    Snapshot(&'a str),
+}
+
 /// An owned, `Send + Sync`, sharded registry of tenant sessions over one
 /// shared engine. See the [module docs](self).
 #[derive(Debug)]
@@ -171,9 +194,10 @@ pub struct SessionRegistry {
     /// The durable lifecycle journal ([`SessionRegistry::with_store`]);
     /// `None` keeps today's purely in-memory behaviour.
     journal: Option<Journal>,
-    /// Ids of tenants demoted to the store by idle expiry. Only the id
-    /// stays resident; the state lives in the tenant's store record until
-    /// its next request revives it.
+    /// Ids of tenants demoted to the store by idle expiry. Their sessions
+    /// leave memory and revive from their store records on their next
+    /// request (the store itself keeps every live record's bytes in
+    /// memory).
     demoted: Mutex<HashSet<String>>,
 }
 
@@ -356,15 +380,16 @@ impl SessionRegistry {
     }
 
     /// Fetches the tenant's entry, opening a session when `secret` is given
-    /// and none exists. Sweeps the shard's idle entries on the way when an
-    /// idle timeout is configured — including the requesting tenant itself:
-    /// a session idle past the timeout is expired and the request reopens a
-    /// fresh one (secret required), exactly as the protocol documents.
+    /// and none exists, and says how it came by it. Sweeps the shard's idle
+    /// entries on the way when an idle timeout is configured — including
+    /// the requesting tenant itself: a session idle past the timeout is
+    /// expired and the request reopens a fresh one (secret required),
+    /// exactly as the protocol documents.
     fn tenant_entry(
         &self,
         tenant: &str,
         secret: Option<&ConjunctiveQuery>,
-    ) -> crate::Result<Arc<Mutex<Tenant>>> {
+    ) -> crate::Result<(Arc<Mutex<Tenant>>, Arrival)> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let shard = self.shard_of(tenant);
         let mut map = shard.lock().expect("shard poisoned");
@@ -380,9 +405,9 @@ impl SessionRegistry {
                     return Err(ServeError::SecretMismatch(tenant.to_string()));
                 }
                 drop(t);
-                return Ok(entry);
+                return Ok((entry, Arrival::Live));
             }
-            return Ok(Arc::clone(entry));
+            return Ok((Arc::clone(entry), Arrival::Live));
         }
         // A demoted tenant revives transparently from its store record —
         // no secret required, exactly like a live session.
@@ -396,7 +421,7 @@ impl SessionRegistry {
                 Ok(t) => {
                     let entry = Arc::new(Mutex::new(t));
                     map.insert(tenant.to_string(), Arc::clone(&entry));
-                    return Ok(entry);
+                    return Ok((entry, Arrival::Revived));
                 }
                 Err(e) => {
                     self.demoted
@@ -424,7 +449,7 @@ impl SessionRegistry {
             retired: false,
         }));
         map.insert(tenant.to_string(), Arc::clone(&entry));
-        Ok(entry)
+        Ok((entry, Arrival::Opened))
     }
 
     /// Reads the demoted tenant's record and snapshots back from the store
@@ -480,15 +505,21 @@ impl SessionRegistry {
         journal.write(record, snapshot, totals)
     }
 
+    /// Runs `op` on `tenant` and journals the tenant's state after it. When
+    /// the journal write fails, the op is undone — the session state, the
+    /// snapshot label, the request count, and the tenant itself when the
+    /// request brought it into memory — so the failed request leaves the
+    /// registry as the store has it.
     fn with_tenant<R>(
         &self,
         tenant: &str,
         secret: Option<&ConjunctiveQuery>,
-        f: impl FnOnce(&mut Tenant) -> crate::Result<(R, Option<String>)>,
+        change: Change<'_>,
+        op: impl FnOnce(&mut Tenant) -> crate::Result<R>,
     ) -> crate::Result<R> {
-        let mut f = Some(f);
+        let mut op = Some(op);
         loop {
-            let entry = self.tenant_entry(tenant, secret)?;
+            let (entry, arrival) = self.tenant_entry(tenant, secret)?;
             let mut t = entry.lock().expect("tenant poisoned");
             if t.retired {
                 // An idle sweep demoted this tenant between the shard-map
@@ -499,20 +530,68 @@ impl SessionRegistry {
                 // silently dropped at the next revival.
                 continue;
             }
-            let (out, snapshot_label) =
-                (f.take().expect("operation retried after success"))(&mut t)?;
-            t.last_used = Instant::now();
+            let label = match change {
+                Change::Snapshot(label) => Some(label),
+                _ => None,
+            };
+            // The undo copies, taken only where a journal write can fail.
+            let journaled = self.journal.is_some();
+            let session =
+                (journaled && matches!(change, Change::Session)).then(|| t.session.snapshot());
+            let replaced = label
+                .filter(|_| journaled)
+                .map(|l| (l, t.snapshots.get(l).cloned()));
+            let out = (op.take().expect("operation retried after success"))(&mut t)?;
             t.requests += 1;
-            self.journal_op(tenant, &t, snapshot_label.as_deref(), false)?;
+            if let Err(e) = self.journal_op(tenant, &t, label, false) {
+                t.requests -= 1;
+                if let Some(state) = session {
+                    t.session.restore(&state);
+                }
+                match replaced {
+                    Some((l, Some(snapshot))) => {
+                        t.snapshots.insert(l.to_string(), snapshot);
+                    }
+                    Some((l, None)) => {
+                        t.snapshots.remove(l);
+                    }
+                    None => {}
+                }
+                if arrival != Arrival::Live {
+                    self.withdraw(tenant, &mut t, arrival);
+                }
+                return Err(e);
+            }
+            t.last_used = Instant::now();
             return Ok(out);
+        }
+    }
+
+    /// Takes a tenant that a failed request brought into memory back out:
+    /// an opened one is dropped, a revived one returns to its demoted
+    /// record. It is retired under its lock, so a request already holding
+    /// the entry re-dispatches.
+    fn withdraw(&self, tenant: &str, t: &mut Tenant, arrival: Arrival) {
+        t.retired = true;
+        // The entry is this one: only a sweep removes entries, and it
+        // skips locked tenants.
+        self.shard_of(tenant)
+            .lock()
+            .expect("shard poisoned")
+            .remove(tenant);
+        if arrival == Arrival::Revived {
+            self.demoted
+                .lock()
+                .expect("demoted index poisoned")
+                .insert(tenant.to_string());
         }
     }
 
     /// Opens (or re-validates) `tenant`'s session for `secret` without
     /// auditing anything.
     pub fn open(&self, tenant: &str, secret: &ConjunctiveQuery) -> crate::Result<usize> {
-        self.with_tenant(tenant, Some(secret), |t| {
-            Ok((t.session.views_published(), None))
+        self.with_tenant(tenant, Some(secret), Change::Nothing, |t| {
+            Ok(t.session.views_published())
         })
     }
 
@@ -526,9 +605,9 @@ impl SessionRegistry {
         name: Option<String>,
         view: ConjunctiveQuery,
     ) -> crate::Result<SessionReport> {
-        self.with_tenant(tenant, secret, |t| {
+        self.with_tenant(tenant, secret, Change::Session, |t| {
             let name = name.unwrap_or_else(|| view.name.clone());
-            Ok((t.session.publish_named(name, view)?, None))
+            Ok(t.session.publish_named(name, view)?)
         })
     }
 
@@ -539,19 +618,19 @@ impl SessionRegistry {
         secret: Option<&ConjunctiveQuery>,
         view: &ConjunctiveQuery,
     ) -> crate::Result<SessionReport> {
-        self.with_tenant(tenant, secret, |t| {
-            Ok((t.session.audit_candidate(view)?, None))
+        self.with_tenant(tenant, secret, Change::Nothing, |t| {
+            Ok(t.session.audit_candidate(view)?)
         })
     }
 
     /// Saves `tenant`'s session state under `label`; returns the number of
     /// views in the captured state.
     pub fn snapshot(&self, tenant: &str, label: &str) -> crate::Result<usize> {
-        self.with_tenant(tenant, None, |t| {
+        self.with_tenant(tenant, None, Change::Snapshot(label), |t| {
             let snap = t.session.snapshot();
             let views = snap.views_published();
             t.snapshots.insert(label.to_string(), snap);
-            Ok((views, Some(label.to_string())))
+            Ok(views)
         })
     }
 
@@ -559,29 +638,35 @@ impl SessionRegistry {
     /// restored view count. Engine artifacts evicted since the snapshot are
     /// re-derived transparently on the next audit.
     pub fn restore(&self, tenant: &str, label: &str) -> crate::Result<usize> {
-        self.with_tenant(tenant, None, |t| {
+        self.with_tenant(tenant, None, Change::Session, |t| {
             let snap = t
                 .snapshots
                 .get(label)
                 .ok_or_else(|| ServeError::UnknownSnapshot(label.to_string()))?
                 .clone();
             t.session.restore(&snap);
-            Ok((t.session.views_published(), None))
+            Ok(t.session.views_published())
         })
     }
 
     /// Demotes one expiring tenant to the store: rewrites its record with
     /// `demoted: true` (its snapshots already sit under their own keys) and
-    /// keeps only its id resident. Write failures are swallowed — the
-    /// tenant then reloads as live from its last record, which is still
-    /// correct, just not demoted.
-    fn demote_expired(&self, tenant: &str, t: &Tenant) {
-        if self.journal.is_some() && self.journal_op(tenant, t, None, true).is_ok() {
-            self.demoted
-                .lock()
-                .expect("demoted index poisoned")
-                .insert(tenant.to_string());
+    /// indexes its id. Returns whether its session may leave memory:
+    /// always without a journal (the tenant is dropped), and with one only
+    /// once that record is written — the store still holds a tenant whose
+    /// write failed as live, so it stays live.
+    fn demote_expired(&self, tenant: &str, t: &Tenant) -> bool {
+        if self.journal.is_none() {
+            return true;
         }
+        if self.journal_op(tenant, t, None, true).is_err() {
+            return false;
+        }
+        self.demoted
+            .lock()
+            .expect("demoted index poisoned")
+            .insert(tenant.to_string());
+        true
     }
 
     /// Expires idle entries of one shard map (demoting them when a store
@@ -599,7 +684,10 @@ impl SessionRegistry {
                     // Counted before journaling, so the demoted record's
                     // registry totals include this very expiry.
                     self.expired.fetch_add(1, Ordering::Relaxed);
-                    self.demote_expired(id, &t);
+                    if !self.demote_expired(id, &t) {
+                        self.expired.fetch_sub(1, Ordering::Relaxed);
+                        continue;
+                    }
                     // Marked under the tenant lock: a request that cloned
                     // this entry out of the map before we removed it sees
                     // the flag when it finally locks, and re-dispatches.
@@ -647,8 +735,10 @@ impl SessionRegistry {
     /// counters are not part of it: read them from
     /// [`AuditEngine::cache_stats`] (the metrics plane).
     /// With a store configured, each tenant also reports its journal
-    /// footprint, and demoted tenants — state in the store, nothing
-    /// resident — appear alongside live ones with `demoted: true`.
+    /// footprint, and demoted tenants — sessions out of memory, state in
+    /// the store — appear alongside live ones with `demoted: true`. No
+    /// shard lock is held while a tenant's lock is awaited, so a long
+    /// audit delays this call but no request of another tenant.
     pub fn stats(&self) -> RegistryStats {
         let usage = |id: &str| {
             self.journal
@@ -658,12 +748,22 @@ impl SessionRegistry {
         };
         let mut tenants = Vec::new();
         for shard in self.shards.iter() {
-            let map = shard.lock().expect("shard poisoned");
-            for (id, entry) in map.iter() {
+            let entries: Vec<(String, Arc<Mutex<Tenant>>)> = shard
+                .lock()
+                .expect("shard poisoned")
+                .iter()
+                .map(|(id, entry)| (id.clone(), Arc::clone(entry)))
+                .collect();
+            for (id, entry) in entries {
                 let t = entry.lock().expect("tenant poisoned");
-                let u = usage(id);
+                if t.retired {
+                    // Expired since the clone; a demoted one is reported
+                    // from its record below.
+                    continue;
+                }
+                let u = usage(&id);
                 tenants.push(TenantStats {
-                    tenant: id.clone(),
+                    tenant: id,
                     views_published: t.session.views_published(),
                     snapshots_held: t.snapshots.len(),
                     requests: t.requests,
@@ -768,7 +868,6 @@ pub struct RegistryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{decode_event, NS_JOURNAL};
     use qvsec_data::{Domain, Schema};
 
     fn engine() -> Arc<AuditEngine> {
@@ -1004,7 +1103,7 @@ mod tests {
         reg.publish("alice", Some(&secret), None, v1).unwrap();
         reg.snapshot("alice", "base").unwrap();
         assert_eq!(reg.sweep_idle(Duration::ZERO), 1);
-        assert_eq!(reg.tenant_count(), 0, "nothing stays resident");
+        assert_eq!(reg.tenant_count(), 0, "no session stays in memory");
 
         // Demoted tenants still appear in stats, served from the store.
         let stats = reg.stats();
@@ -1028,241 +1127,163 @@ mod tests {
         assert_eq!(reg2.restore("alice", "base").unwrap(), 1);
     }
 
-    /// Two journal records exactly as the previous release wrote them: an
-    /// `expire` carrying the tenant's labelled snapshots, then a `publish`.
-    /// Both still carry the engine's cache counters, per event and inside
-    /// every session snapshot.
-    const PARENT_FORMAT_JOURNAL: [&str; 2] = [
-        // expire (bob, with its labelled snapshot)
-        concat!(
-            r#"{"op":"expire","tenant":"bob","secret":{"name":"S","head":[{"Var":0},{"Var":1}],"#,
-            r#""atoms":[{"relation":0,"terms":[{"Var":0},{"Var":2},{"Var":1}]}],"comparisons":[],"#,
-            r#""var_names":["n","p","d"]},"state":{"published":[{"name":"V1","query":{"name":"V1","#,
-            r#""head":[{"Var":0},{"Var":1}],"atoms":[{"relation":0,"terms":[{"Var":0},{"Var":1},"#,
-            r#"{"Var":2}]}],"comparisons":[],"var_names":["n","d","p"]}}],"steps_taken":1,"#,
-            r#""prev_secure":false,"prev_max_leak":null,"cumulative_cache":{"crit_cache_hits":0,"#,
-            r#""crit_cache_misses":2,"space_cache_hits":0,"space_cache_misses":2,"#,
-            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
-            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
-            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
-            r#""resident_bytes":11112}},"snapshot_label":null,"#,
-            r#""snapshots":{"base":{"published":[{"name":"V1","query":{"name":"V1","#,
-            r#""head":[{"Var":0},{"Var":1}],"atoms":[{"relation":0,"terms":[{"Var":0},{"Var":1},"#,
-            r#"{"Var":2}]}],"comparisons":[],"var_names":["n","d","p"]}}],"steps_taken":1,"#,
-            r#""prev_secure":false,"prev_max_leak":null,"cumulative_cache":{"crit_cache_hits":0,"#,
-            r#""crit_cache_misses":2,"space_cache_hits":0,"space_cache_misses":2,"#,
-            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
-            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
-            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
-            r#""resident_bytes":11112}}},"tenant_requests":2,"registry_requests":2,"#,
-            r#""registry_expired":1,"engine_cache":{"crit_cache_hits":0,"crit_cache_misses":2,"#,
-            r#""space_cache_hits":0,"space_cache_misses":2,"class_verdicts_reused":0,"#,
-            r#""compile_cache_hits":0,"queries_compiled":0,"mc_samples_drawn":0,"#,
-            r#""mc_samples_reused":0,"pool_columns_built":0,"pool_column_hits":0,"#,
-            r#""kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"resident_bytes":11112}}"#,
-        ),
-        // publish (alice)
-        concat!(
-            r#"{"op":"publish","tenant":"alice","secret":{"name":"S","head":[{"Var":0},{"Var":1}],"#,
-            r#""atoms":[{"relation":0,"terms":[{"Var":0},{"Var":2},{"Var":1}]}],"comparisons":[],"#,
-            r#""var_names":["n","p","d"]},"state":{"published":[{"name":"V1","query":{"name":"V1","#,
-            r#""head":[{"Var":0},{"Var":1}],"atoms":[{"relation":0,"terms":[{"Var":0},{"Var":1},"#,
-            r#"{"Var":2}]}],"comparisons":[],"var_names":["n","d","p"]}}],"steps_taken":1,"#,
-            r#""prev_secure":false,"prev_max_leak":null,"cumulative_cache":{"crit_cache_hits":2,"#,
-            r#""crit_cache_misses":0,"space_cache_hits":2,"space_cache_misses":0,"#,
-            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
-            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
-            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
-            r#""resident_bytes":0}},"snapshot_label":null,"snapshots":null,"tenant_requests":1,"#,
-            r#""registry_requests":3,"registry_expired":1,"engine_cache":{"crit_cache_hits":2,"#,
-            r#""crit_cache_misses":2,"space_cache_hits":2,"space_cache_misses":2,"#,
-            r#""class_verdicts_reused":0,"compile_cache_hits":0,"queries_compiled":0,"#,
-            r#""mc_samples_drawn":0,"mc_samples_reused":0,"pool_columns_built":0,"#,
-            r#""pool_column_hits":0,"kernel_audit_hits":0,"evictions":0,"evicted_bytes":0,"#,
-            r#""resident_bytes":11112}}"#,
-        ),
-    ];
-
-    fn seeded_store(records: &[String]) -> Arc<dyn StoreBackend> {
-        let store: Arc<dyn StoreBackend> = Arc::new(qvsec_store::MemStore::new());
-        let ops = records
-            .iter()
-            .enumerate()
-            .map(|(seq, r)| qvsec_store::StoreOp::put(format!("{seq:016x}"), r.as_bytes().to_vec()))
-            .collect();
-        store.append_batch(NS_JOURNAL, ops).unwrap();
-        store
-    }
-
-    #[test]
-    fn journals_in_the_previous_format_still_replay() {
-        use crate::protocol::handle_request;
-        use serde_json::Value;
-
-        let old: Vec<String> = PARENT_FORMAT_JOURNAL
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        // The same events in today's format: decoded, then re-encoded.
-        let new: Vec<String> = old
-            .iter()
-            .map(|r| serde_json::to_string(&decode_event("old", r.as_bytes()).unwrap()).unwrap())
-            .collect();
-        for (o, n) in old.iter().zip(&new) {
-            assert!(n.len() < o.len(), "today's records carry no counters");
-        }
-        let old_reg = durable_registry(&seeded_store(&old));
-        let new_reg = durable_registry(&seeded_store(&new));
-        for reg in [&old_reg, &new_reg] {
-            let stats = reg.stats();
-            assert_eq!(stats.requests_served, 3);
-            assert_eq!(stats.sessions_expired, 1);
-            let [alice, bob] = &stats.tenants[..] else {
-                panic!("two tenants rehydrate: {stats:?}")
-            };
-            assert_eq!(
-                (alice.tenant.as_str(), alice.views_published, alice.requests),
-                ("alice", 1, 1)
-            );
-            assert!(!alice.demoted);
-            assert_eq!(
-                (
-                    bob.tenant.as_str(),
-                    bob.views_published,
-                    bob.snapshots_held,
-                    bob.requests
-                ),
-                ("bob", 1, 1, 2)
-            );
-            assert!(bob.demoted);
-        }
-        // What follows answers byte for byte alike on both: a candidate on
-        // the live tenant, one that revives the demoted tenant, and a
-        // restore of the labelled snapshot the expire record carried.
-        let script = [
-            r#"{"op": "candidate", "tenant": "alice", "view": "V2(d, p) :- Employee(n, d, p)"}"#,
-            r#"{"op": "candidate", "tenant": "bob", "view": "V2(d, p) :- Employee(n, d, p)"}"#,
-            r#"{"op": "restore", "tenant": "bob", "label": "base"}"#,
-        ];
-        for line in script {
-            let (a, _) = handle_request(&old_reg, line);
-            let (b, _) = handle_request(&new_reg, line);
-            assert_eq!(a.field("ok"), &Value::Bool(true), "{a:?}");
-            assert_eq!(
-                serde_json::to_string(&a).unwrap(),
-                serde_json::to_string(&b).unwrap(),
-                "{line}"
-            );
-            if !a.field("report").is_null() {
-                assert_eq!(
-                    a.field("report").field("step").as_int(),
-                    Some(2),
-                    "the published view rehydrated: {line}"
-                );
-            }
-        }
-    }
-
-    /// The event an earlier release journaled after `op` on `tenant` of
-    /// `reg`, carrying the tenant's state as that release's `journal_op`
-    /// and `demote_expired` wrote it.
-    fn legacy_event(reg: &SessionRegistry, op: &str, tenant: &str, label: Option<&str>) -> String {
-        let entry = Arc::clone(&reg.shard_of(tenant).lock().unwrap()[tenant]);
-        let t = entry.lock().unwrap();
-        serde_json::to_string(&crate::journal::JournalEvent {
-            op: op.to_string(),
-            tenant: tenant.to_string(),
-            secret: t.session.secret().clone(),
-            state: t.session.snapshot(),
-            snapshot_label: label.map(str::to_string),
-            snapshots: (op == "expire").then(|| t.snapshots.clone()),
-            tenant_requests: t.requests,
-            registry_requests: reg.requests.load(Ordering::Relaxed),
-            registry_expired: reg.expired.load(Ordering::Relaxed) + u64::from(op == "expire"),
-        })
-        .unwrap()
-    }
-
     fn journal_keys(store: &Arc<dyn StoreBackend>) -> Vec<String> {
         store
-            .scan(NS_JOURNAL)
+            .scan()
             .unwrap()
             .into_iter()
             .map(|(key, _)| key)
             .collect()
     }
 
-    #[test]
-    fn a_sequence_keyed_journal_migrates_once_and_reloads_identically() {
-        use crate::protocol::handle_request;
+    /// A store whose `append_batch` fails while `failing` is set.
+    #[derive(Debug, Default)]
+    struct FailingStore {
+        inner: qvsec_store::MemStore,
+        failing: std::sync::atomic::AtomicBool,
+    }
 
-        // A sequence-keyed log in the format of the previous release: two
-        // tenants with labelled snapshots, the second demoted by expiry.
+    impl StoreBackend for FailingStore {
+        fn get(&self, key: &str) -> qvsec_store::Result<Option<Vec<u8>>> {
+            self.inner.get(key)
+        }
+
+        fn scan(&self) -> qvsec_store::Result<Vec<(String, Vec<u8>)>> {
+            self.inner.scan()
+        }
+
+        fn append_batch(&self, ops: Vec<qvsec_store::StoreOp>) -> qvsec_store::Result<()> {
+            if self.failing.load(Ordering::Relaxed) {
+                return Err(qvsec_store::StoreError::Io("injected failure".to_string()));
+            }
+            self.inner.append_batch(ops)
+        }
+
+        fn flush(&self) -> qvsec_store::Result<()> {
+            self.inner.flush()
+        }
+
+        fn backend_name(&self) -> &'static str {
+            "failing"
+        }
+    }
+
+    #[test]
+    fn a_failed_journal_write_undoes_its_op() {
+        let faulty = Arc::new(FailingStore::default());
+        let store: Arc<dyn StoreBackend> = faulty.clone();
+        let fail = |on| faulty.failing.store(on, Ordering::Relaxed);
+        let reg = durable_registry(&store);
+        let secret = reg.parse("S(n, p) :- Employee(n, d, p)").unwrap();
+        let views: Vec<ConjunctiveQuery> = ["V1(n, d)", "V2(d, p)", "V3(n)"]
+            .iter()
+            .map(|h| reg.parse(&format!("{h} :- Employee(n, d, p)")).unwrap())
+            .collect();
+        reg.publish("t", Some(&secret), None, views[0].clone())
+            .unwrap();
+        reg.snapshot("t", "base").unwrap();
+        reg.publish("t", None, None, views[1].clone()).unwrap();
+        let tenants = serde_json::to_string(&reg.stats().tenants).unwrap();
+        let stored = store.scan().unwrap();
+
+        // Every op fails to journal: a publish, a restore, a snapshot over
+        // a held label and one under a new label, and the first request of
+        // a new tenant.
+        fail(true);
+        let failures = [
+            reg.publish("t", None, None, views[2].clone())
+                .map(|r| r.step),
+            reg.restore("t", "base"),
+            reg.snapshot("t", "base"),
+            reg.snapshot("t", "new"),
+            reg.publish("u", Some(&secret), None, views[0].clone())
+                .map(|r| r.step),
+        ];
+        fail(false);
+        for failure in failures {
+            assert!(matches!(failure, Err(ServeError::Store(_))), "{failure:?}");
+        }
+        assert_eq!(
+            store.scan().unwrap(),
+            stored,
+            "failed requests write nothing"
+        );
+        assert_eq!(
+            serde_json::to_string(&reg.stats().tenants).unwrap(),
+            tenants,
+            "and change nothing"
+        );
+        // The tenant goes on from its journaled state: two views, and the
+        // one-view snapshot under `base`.
+        let step = reg.publish("t", None, None, views[2].clone()).unwrap();
+        assert_eq!(step.step, 3);
+        assert_eq!(reg.restore("t", "base").unwrap(), 1);
+        assert!(matches!(
+            reg.audit_candidate("u", None, &views[0]),
+            Err(ServeError::UnknownTenant(_))
+        ));
+
+        // An expiry whose demotion fails to journal keeps the tenant live.
+        let expired = reg.stats().sessions_expired;
+        fail(true);
+        assert_eq!(reg.sweep_idle(Duration::ZERO), 0);
+        fail(false);
+        assert_eq!(reg.tenant_count(), 1);
+        assert_eq!(reg.stats().sessions_expired, expired);
+
+        // A demoted tenant that a failed request revives returns to its
+        // record.
+        assert_eq!(reg.sweep_idle(Duration::ZERO), 1);
+        fail(true);
+        let revival = reg.audit_candidate("t", None, &views[0]);
+        fail(false);
+        assert!(matches!(revival, Err(ServeError::Store(_))));
+        assert_eq!(reg.tenant_count(), 0);
+        let tenants = serde_json::to_string(&reg.stats().tenants).unwrap();
+        assert!(tenants.contains(r#""demoted":true"#), "{tenants}");
+        // A restart over the store agrees with the registry that survived
+        // (bar `requests_served`, which counts failed requests too).
+        assert_eq!(
+            serde_json::to_string(&durable_registry(&store).stats().tenants).unwrap(),
+            tenants
+        );
+    }
+
+    #[test]
+    fn stats_waits_on_a_busy_tenant_without_blocking_its_shard() {
         let reg = registry();
         let secret = reg.parse("S(n, p) :- Employee(n, d, p)").unwrap();
-        let v1 = reg.parse("V1(n, d) :- Employee(n, d, p)").unwrap();
-        let v2 = reg.parse("V2(d, p) :- Employee(n, d, p)").unwrap();
-        let mut log = Vec::new();
-        reg.publish("alice", Some(&secret), None, v1.clone())
+        let view = reg.parse("V(n, d) :- Employee(n, d, p)").unwrap();
+        reg.open("a", &secret).unwrap();
+        let shard = |id: &str| shard_hash(id) as usize & reg.shard_mask;
+        let neighbour = (0..)
+            .map(|i| format!("b{i}"))
+            .find(|id| shard(id) == shard("a"))
             .unwrap();
-        log.push(legacy_event(&reg, "publish", "alice", None));
-        reg.snapshot("alice", "base").unwrap();
-        log.push(legacy_event(&reg, "snapshot", "alice", Some("base")));
-        reg.publish("alice", None, None, v2).unwrap();
-        log.push(legacy_event(&reg, "publish", "alice", None));
-        reg.publish("bob", Some(&secret), None, v1).unwrap();
-        log.push(legacy_event(&reg, "publish", "bob", None));
-        reg.snapshot("bob", "b/1").unwrap();
-        log.push(legacy_event(&reg, "snapshot", "bob", Some("b/1")));
-        log.push(legacy_event(&reg, "expire", "bob", None));
-
-        // The first restart migrates it: no sequence key is left.
-        let store = seeded_store(&log);
-        let first = durable_registry(&store);
-        assert_eq!(
-            journal_keys(&store),
-            [
-                "registry",
-                "snapshot/alice/base",
-                "snapshot/bob/b%2f1",
-                "tenant/alice",
-                "tenant/bob"
-            ]
-        );
-        let stats = first.stats();
-        assert_eq!((stats.requests_served, stats.sessions_expired), (5, 1));
-        assert_eq!(stats.journal_records, 6);
-        let [alice, bob] = &stats.tenants[..] else {
-            panic!("two tenants migrate: {stats:?}")
-        };
-        assert_eq!((alice.views_published, alice.snapshots_held), (2, 1));
-        assert!(!alice.demoted);
-        assert_eq!((bob.views_published, bob.snapshots_held), (1, 1));
-        assert!(bob.demoted);
-
-        // A second restart, over a store already migrated, answers the rest
-        // of the script byte for byte like the first, stats included.
-        let migrated = seeded_store(&log);
-        drop(durable_registry(&migrated));
-        let second = durable_registry(&migrated);
-        let script = [
-            r#"{"op": "stats"}"#,
-            r#"{"op": "candidate", "tenant": "alice", "view": "V3(n) :- Employee(n, d, p)"}"#,
-            r#"{"op": "restore", "tenant": "alice", "label": "base"}"#,
-            r#"{"op": "candidate", "tenant": "bob", "view": "V2(d, p) :- Employee(n, d, p)"}"#,
-            r#"{"op": "restore", "tenant": "bob", "label": "b/1"}"#,
-            r#"{"op": "stats"}"#,
-        ];
-        for line in script {
-            let (a, _) = handle_request(&first, line);
-            let (b, _) = handle_request(&second, line);
-            assert_eq!(a.field("ok"), &serde_json::Value::Bool(true), "{a:?}");
-            assert_eq!(
-                serde_json::to_string(&a).unwrap(),
-                serde_json::to_string(&b).unwrap(),
-                "{line}"
-            );
-        }
+        let busy = Arc::clone(&reg.shard_of("a").lock().unwrap()["a"]);
+        // Held as a long audit holds it.
+        let held = busy.lock().unwrap();
+        std::thread::scope(|scope| {
+            let reg = &reg;
+            let stats = scope.spawn(move || reg.stats());
+            // Time for `stats` to reach the busy tenant's lock; the publish
+            // below must not wait on `stats` wherever it has got to.
+            std::thread::sleep(Duration::from_millis(200));
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let _ = tx.send(reg.publish(&neighbour, Some(&secret), None, view));
+            });
+            let published = rx.recv_timeout(Duration::from_secs(2));
+            drop(held);
+            let step = published.expect("a publish in the busy tenant's shard waited on stats");
+            assert_eq!(step.unwrap().step, 1);
+            assert!(stats
+                .join()
+                .unwrap()
+                .tenants
+                .iter()
+                .any(|t| t.tenant == "a"));
+        });
     }
 
     #[test]
@@ -1321,7 +1342,7 @@ mod tests {
         reg.publish("t", Some(&secret), None, v1).unwrap();
 
         // Interleaving step 1: the request's map lookup completes.
-        let stale = reg.tenant_entry("t", None).unwrap();
+        let (stale, _) = reg.tenant_entry("t", None).unwrap();
         // Interleaving step 2: an idle sweep demotes the tenant.
         assert_eq!(reg.sweep_idle(Duration::ZERO), 1);
         assert_eq!(reg.tenant_count(), 0, "the entry left the shard map");

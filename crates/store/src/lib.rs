@@ -1,31 +1,28 @@
-//! # qvsec-store — pluggable durable persistence
+//! # qvsec-store — the durable tenant store
 //!
 //! The paper's audit question is cumulative: whether the next view is safe
 //! depends on *every* view already published, so a serving process that
 //! loses session history on restart silently invalidates the security
-//! guarantee for any tenant that keeps publishing afterward. This crate is
-//! the durability seam the rest of the workspace plugs into: one small
-//! [`StoreBackend`] trait (namespaced key → bytes, ordered scan, atomic
-//! batch append, flush) with two interchangeable implementations —
+//! guarantee for any tenant that keeps publishing afterward. This crate
+//! keeps that history: one keyed store of key → bytes behind a small
+//! [`StoreBackend`] trait (point reads, an ordered scan, atomic batch
+//! append, flush), with two implementations —
 //!
-//! * [`MemStore`] — in-process maps; the zero-config default, behaviour-
-//!   identical to running without a store at all.
-//! * [`LogStore`] — one append-only file per namespace with length-prefixed
-//!   and checksummed records, crash-tolerant truncated-tail recovery and
-//!   threshold-triggered compaction. The production-shaped backend. It is
-//!   memory-resident: each loaded namespace's live values stay in memory.
+//! * [`LogStore`] — the store: one append-only file of length-prefixed and
+//!   checksummed records, crash-tolerant truncated-tail recovery and
+//!   threshold-triggered compaction. It is memory-resident: every live
+//!   value stays in memory.
+//! * [`MemStore`] — an in-process map under the same contract, the fake
+//!   the serving layer's tests run over. Its state dies with the process.
 //!
-//! Callers never see which backend they run over. The serving registry
-//! keeps its tenants' latest state in one namespace, keyed by tenant and
-//! overwritten in place, and that state is all it stores (compiled
-//! artifacts are recomputed, never persisted). It only assumes the trait
-//! contract:
+//! The serving registry keeps its tenants' latest state in the store,
+//! keyed by tenant and overwritten in place, and that state is all it
+//! stores (compiled artifacts are recomputed, never persisted). It only
+//! assumes the trait contract:
 //!
 //! * `scan` returns the live entries in ascending key order — a key's
 //!   latest put, none for a deleted key — so a restart reads the current
-//!   state, not the history that led to it (and the fixed-width sequence
-//!   keys of journals written by earlier releases come back in append
-//!   order, which is how they are migrated);
+//!   state, not the history that led to it;
 //! * `append_batch` is atomic — after a crash, either the whole batch is
 //!   recovered or none of it (the [`LogStore`] frames a batch as a single
 //!   checksummed record and truncates any torn tail on reopen).
@@ -40,8 +37,8 @@ pub use log::LogStore;
 pub use mem::MemStore;
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Errors surfaced by store backends.
@@ -49,11 +46,8 @@ use std::sync::Arc;
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(String),
-    /// A stored record failed validation beyond what tail-truncation
-    /// recovery handles (e.g. an unreadable compacted file).
-    Corrupt(String),
-    /// The store configuration is unusable (e.g. a file backend without a
-    /// path).
+    /// The store configuration is unusable (a `store` block without a
+    /// `path`).
     Config(String),
 }
 
@@ -61,19 +55,12 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(m) => write!(f, "store io error: {m}"),
-            StoreError::Corrupt(m) => write!(f, "store corruption: {m}"),
             StoreError::Config(m) => write!(f, "store config error: {m}"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e.to_string())
-    }
-}
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, StoreError>;
@@ -83,14 +70,14 @@ pub type Result<T> = std::result::Result<T, StoreError>;
 pub enum StoreOp {
     /// Insert or overwrite `key`.
     Put {
-        /// The key within the namespace.
+        /// The key.
         key: String,
         /// The value bytes.
         value: Vec<u8>,
     },
     /// Remove `key` (a no-op when absent).
     Delete {
-        /// The key within the namespace.
+        /// The key.
         key: String,
     },
 }
@@ -108,82 +95,64 @@ impl StoreOp {
     pub fn delete(key: impl Into<String>) -> Self {
         StoreOp::Delete { key: key.into() }
     }
+}
 
-    /// The key this op touches.
-    pub fn key(&self) -> &str {
-        match self {
-            StoreOp::Put { key, .. } | StoreOp::Delete { key } => key,
+/// Applies `ops` in order to the live map `map`.
+pub(crate) fn apply(map: &mut BTreeMap<String, Vec<u8>>, ops: Vec<StoreOp>) {
+    for op in ops {
+        match op {
+            StoreOp::Put { key, value } => {
+                map.insert(key, value);
+            }
+            StoreOp::Delete { key } => {
+                map.remove(&key);
+            }
         }
     }
 }
 
-/// The persistence contract every backend implements: namespaced key →
-/// bytes with ordered scans and atomic batch appends.
+/// The persistence contract every backend implements: key → bytes with an
+/// ordered scan and atomic batch appends.
 ///
-/// Namespaces are flat UTF-8 strings (`"registry/journal"`, ...);
-/// backends may encode them into paths however they like.
 /// Implementations must be `Send + Sync` — the serving layer appends from
 /// many worker threads.
 pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// Reads one key. `Ok(None)` when absent.
-    fn get(&self, ns: &str, key: &str) -> Result<Option<Vec<u8>>>;
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>>;
 
-    /// All live entries of a namespace, in ascending key order. An unknown
-    /// namespace is an empty scan, not an error.
-    fn scan(&self, ns: &str) -> Result<Vec<(String, Vec<u8>)>>;
+    /// All live entries, in ascending key order.
+    fn scan(&self) -> Result<Vec<(String, Vec<u8>)>>;
 
     /// Applies `ops` atomically: after a crash, recovery observes either
     /// the whole batch or none of it.
-    fn append_batch(&self, ns: &str, ops: Vec<StoreOp>) -> Result<()>;
+    fn append_batch(&self, ops: Vec<StoreOp>) -> Result<()>;
 
     /// Forces buffered writes down to the backing medium.
     fn flush(&self) -> Result<()>;
 
-    /// A short static name (`"mem"` / `"log"`) for stats and logs.
+    /// A short static name (`"log"`, or `"mem"` for the test fake) for
+    /// stats and logs.
     fn backend_name(&self) -> &'static str;
 }
 
-/// Which backend a [`StoreConfig`] selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BackendKind {
-    /// [`MemStore`] — volatile, zero-config default.
-    Mem,
-    /// [`LogStore`] — append-only files, crash-safe.
-    Log,
-}
-
-/// Declarative store selection, deserializable straight out of a CLI spec
-/// (`{"backend": "log", "path": "/var/lib/qvsec"}`).
+/// Where the durable store lives, deserializable straight out of a CLI spec
+/// (`{"path": "/var/lib/qvsec"}`): a [`LogStore`] rooted at `path`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoreConfig {
-    /// Backend name: `"mem"` (default) or `"log"`.
-    pub backend: Option<String>,
-    /// Root directory for file-backed backends.
+    /// Root directory of the store; a block without one is refused.
     pub path: Option<String>,
-    /// `LogStore` compaction threshold: a namespace file growing past this
-    /// many bytes is rewritten to its live contents (default 8 MiB; `0`
-    /// disables compaction).
+    /// Compaction threshold: before an append would take the store's file
+    /// past this many bytes, the file is rewritten to its live contents
+    /// (default 8 MiB; `0` disables compaction).
     pub compact_threshold_bytes: Option<u64>,
 }
 
 impl StoreConfig {
-    /// A `LogStore` rooted at `path` with default compaction.
+    /// A store rooted at `path` with default compaction.
     pub fn log_at(path: impl Into<String>) -> Self {
         StoreConfig {
-            backend: Some("log".to_string()),
             path: Some(path.into()),
             compact_threshold_bytes: None,
-        }
-    }
-
-    /// The parsed backend kind.
-    pub fn kind(&self) -> Result<BackendKind> {
-        match self.backend.as_deref() {
-            None | Some("mem") => Ok(BackendKind::Mem),
-            Some("log") => Ok(BackendKind::Log),
-            Some(other) => Err(StoreError::Config(format!(
-                "unknown store backend `{other}` (expected mem | log)"
-            ))),
         }
     }
 }
@@ -191,30 +160,24 @@ impl StoreConfig {
 /// Default [`LogStore`] compaction threshold (8 MiB).
 pub const DEFAULT_COMPACT_THRESHOLD: u64 = 8 * 1024 * 1024;
 
-/// Opens the backend a [`StoreConfig`] describes.
+/// Opens the [`LogStore`] a [`StoreConfig`] describes.
 pub fn open_store(config: &StoreConfig) -> Result<Arc<dyn StoreBackend>> {
-    let path = || -> Result<PathBuf> {
+    let path = config
+        .path
+        .as_deref()
+        .ok_or_else(|| StoreError::Config("a `store` block needs a `path`".to_string()))?;
+    Ok(Arc::new(LogStore::open(
+        path,
         config
-            .path
-            .as_deref()
-            .map(PathBuf::from)
-            .ok_or_else(|| StoreError::Config("file-backed store needs a `path`".to_string()))
-    };
-    Ok(match config.kind()? {
-        BackendKind::Mem => Arc::new(MemStore::new()),
-        BackendKind::Log => Arc::new(LogStore::open(
-            path()?,
-            config
-                .compact_threshold_bytes
-                .unwrap_or(DEFAULT_COMPACT_THRESHOLD),
-        )?),
-    })
+            .compact_threshold_bytes
+            .unwrap_or(DEFAULT_COMPACT_THRESHOLD),
+    )?))
 }
 
-/// Encodes a namespace (or any key-ish string) into a filesystem-safe file
-/// name: `[A-Za-z0-9._-]` pass through, everything else becomes `%XX`. The
-/// encoding is injective and its output never holds `/`, so callers also
-/// use it to join client-chosen parts into one key without collisions.
+/// Percent-encodes a key part: `[A-Za-z0-9._-]` pass through, everything
+/// else becomes `%XX`. The encoding is injective and its output never
+/// holds `/`, so callers use it to join client-chosen parts into one key
+/// without collisions (and the output is a filesystem-safe name).
 pub fn encode_component(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for b in name.bytes() {
@@ -263,27 +226,17 @@ mod tests {
 
     /// Exercises the full trait contract against one backend.
     fn contract(store: &dyn StoreBackend) {
-        assert_eq!(store.get("ns", "a").unwrap(), None);
-        assert!(
-            store.scan("ns").unwrap().is_empty(),
-            "unknown ns scans empty"
-        );
+        assert_eq!(store.get("a").unwrap(), None);
+        assert!(store.scan().unwrap().is_empty(), "a new store scans empty");
         store
-            .append_batch(
-                "ns",
-                vec![
-                    StoreOp::put("b", b"2".to_vec()),
-                    StoreOp::put("a", b"1".to_vec()),
-                ],
-            )
+            .append_batch(vec![
+                StoreOp::put("b", b"2".to_vec()),
+                StoreOp::put("a", b"1".to_vec()),
+            ])
             .unwrap();
-        store
-            .append_batch("other", vec![StoreOp::put("a", b"x".to_vec())])
-            .unwrap();
-        assert_eq!(store.get("ns", "a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(store.get("other", "a").unwrap(), Some(b"x".to_vec()));
+        assert_eq!(store.get("a").unwrap(), Some(b"1".to_vec()));
         // Scans are key-ordered regardless of insertion order.
-        let entries = store.scan("ns").unwrap();
+        let entries = store.scan().unwrap();
         assert_eq!(
             entries,
             vec![
@@ -293,14 +246,14 @@ mod tests {
         );
         // Overwrite and delete in one batch.
         store
-            .append_batch(
-                "ns",
-                vec![StoreOp::put("a", b"11".to_vec()), StoreOp::delete("b")],
-            )
+            .append_batch(vec![
+                StoreOp::put("a", b"11".to_vec()),
+                StoreOp::delete("b"),
+            ])
             .unwrap();
-        assert_eq!(store.get("ns", "a").unwrap(), Some(b"11".to_vec()));
-        assert_eq!(store.get("ns", "b").unwrap(), None);
-        assert_eq!(store.scan("ns").unwrap().len(), 1);
+        assert_eq!(store.get("a").unwrap(), Some(b"11".to_vec()));
+        assert_eq!(store.get("b").unwrap(), None);
+        assert_eq!(store.scan().unwrap().len(), 1);
         store.flush().unwrap();
     }
 
@@ -318,38 +271,30 @@ mod tests {
 
     #[test]
     fn the_factory_maps_config_onto_backends() {
-        let mem = open_store(&StoreConfig {
-            backend: None,
-            path: None,
-            compact_threshold_bytes: None,
-        })
-        .unwrap();
-        assert_eq!(mem.backend_name(), "mem");
-
         let dir = testutil::scratch_dir("factory");
         let log = open_store(&StoreConfig::log_at(dir.display().to_string())).unwrap();
         assert_eq!(log.backend_name(), "log");
+        log.append_batch(vec![StoreOp::put("k", b"v".to_vec())])
+            .unwrap();
+        drop(log);
 
-        assert!(matches!(
-            open_store(&StoreConfig {
-                backend: Some("log".to_string()),
-                path: None,
-                compact_threshold_bytes: None,
-            }),
-            Err(StoreError::Config(_))
-        ));
-        for retired in ["warp", "kv"] {
-            let err = open_store(&StoreConfig {
-                backend: Some(retired.to_string()),
-                path: Some(dir.display().to_string()),
-                compact_threshold_bytes: None,
-            })
-            .unwrap_err();
-            assert!(
-                err.to_string().contains("expected mem | log"),
-                "{retired}: {err}"
-            );
-        }
+        // A block naming only a path opens the same durable store.
+        let path_only = StoreConfig {
+            path: Some(dir.display().to_string()),
+            compact_threshold_bytes: None,
+        };
+        let reopened = open_store(&path_only).unwrap();
+        assert_eq!(reopened.backend_name(), "log");
+        assert_eq!(reopened.get("k").unwrap(), Some(b"v".to_vec()));
+
+        // A block without a path is refused, whatever else it sets.
+        let err = open_store(&StoreConfig {
+            path: None,
+            compact_threshold_bytes: Some(0),
+        })
+        .unwrap_err();
+        assert!(matches!(err, StoreError::Config(_)), "{err}");
+        assert!(err.to_string().contains("`path`"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! The append-only log backend.
 //!
-//! One file per namespace under the store's root directory. Every
+//! One file under the store's root directory. Every
 //! [`append_batch`](crate::StoreBackend::append_batch) becomes exactly one
 //! **record**:
 //!
@@ -17,30 +17,32 @@
 //! is recovered whole or not at all, never partially. The live state is a
 //! replay of every surviving record in file order.
 //!
-//! A namespace file growing past the compaction threshold is rewritten to
-//! a single record holding its live entries (written to a temp file,
-//! synced, renamed over the original, then the directory synced), so
-//! deletes and overwrites do not pin disk forever. The next compaction
-//! waits until the file has also doubled since the last rewrite (or since
-//! it was loaded), so a live set past the threshold — an append-only
-//! journal, say — is rewritten O(log n) times, not on every append.
+//! Before an append would take the file past the compaction threshold, the
+//! file is rewritten to a single record holding its live entries (written
+//! to a temp file, synced, renamed over the original, then the directory
+//! synced), so deletes and overwrites do not pin disk forever; a rewrite
+//! that fails fails that append before any of it is written. The next
+//! compaction waits until the file has also doubled since the last rewrite
+//! (or since it was loaded), so a live set past the threshold — an
+//! append-only journal, say — is rewritten O(log n) times, not on every
+//! append.
 //!
-//! Residency: a namespace file is read whole on first touch — every record
-//! checksummed, superseded values dropped — and its live entries stay in
-//! memory, so `get` and `scan` never read the file again. A namespace
-//! costs memory in proportion to its live set, not its history: for the
-//! serving registry's tenant state, O(tenants + snapshots).
+//! Residency: [`LogStore::open`] reads the file whole — every record
+//! checksummed, superseded values dropped — and every live value stays in
+//! memory, so `get` and `scan` never read the file again. The store costs
+//! memory in proportion to its live set, not its history: for the serving
+//! registry's tenant state, O(tenants + snapshots), demoted tenants
+//! included.
 //!
 //! Durability: appends are written, not synced, so they survive the
 //! process being killed at any point. [`flush`](crate::StoreBackend::flush)
-//! syncs every loaded namespace file and then the root directory (so a
-//! namespace file created since the last flush keeps its directory entry),
-//! and a compaction syncs its rewrite and the directory before returning:
-//! after power loss the store holds every record up to the last flush or
-//! compaction.
+//! syncs the file and then the root directory (so a file created since the
+//! last flush keeps its directory entry), and a compaction syncs its
+//! rewrite and the directory before returning: after power loss the store
+//! holds every record up to the last flush or compaction.
 
-use crate::{encode_component, fnv1a_32, Result, StoreBackend, StoreError, StoreOp};
-use std::collections::{BTreeMap, HashMap};
+use crate::{apply, fnv1a_32, Result, StoreBackend, StoreError, StoreOp};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -50,13 +52,20 @@ const TAG_PUT: u8 = 0;
 const TAG_DELETE: u8 = 1;
 const FRAME_HEADER: usize = 8;
 
-/// One namespace's replayed state plus its open append handle.
+/// The store's file under its root. The name is the percent-encoded
+/// `registry/journal` namespace earlier releases filed the journal under,
+/// so their store directories open unchanged.
+const FILE_NAME: &str = "registry%2fjournal.log";
+/// The temp file a compaction writes before renaming it over the file.
+const COMPACT_NAME: &str = "registry%2fjournal.compact";
+
+/// The replayed state plus the open append handle.
 #[derive(Debug)]
-struct NsState {
+struct State {
     map: BTreeMap<String, Vec<u8>>,
     file: File,
     file_bytes: u64,
-    /// File size the last compaction wrote (the replayed size on load);
+    /// File size the last compaction wrote (the replayed size on open);
     /// the next compaction waits for twice this.
     compacted_bytes: u64,
 }
@@ -68,7 +77,7 @@ struct NsState {
 pub struct LogStore {
     root: PathBuf,
     compact_threshold: u64,
-    spaces: Mutex<HashMap<String, NsState>>,
+    state: Mutex<State>,
 }
 
 fn encode_ops(ops: &[StoreOp]) -> Vec<u8> {
@@ -146,86 +155,65 @@ fn replay(bytes: &[u8]) -> (BTreeMap<String, Vec<u8>>, u64) {
         let Some(ops) = decode_ops(payload) else {
             break;
         };
-        for op in ops {
-            match op {
-                StoreOp::Put { key, value } => {
-                    map.insert(key, value);
-                }
-                StoreOp::Delete { key } => {
-                    map.remove(&key);
-                }
-            }
-        }
+        apply(&mut map, ops);
         at = start + payload_len;
     }
     (map, at as u64)
 }
 
+/// Opens `path` for appending (and reading), creating it when absent.
+fn open_append(path: &Path) -> Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| StoreError::Io(format!("open {}: {e}", path.display())))
+}
+
 impl LogStore {
-    /// Opens (creating if needed) a log store rooted at `root`. Namespace
-    /// files are replayed lazily on first touch. `compact_threshold` of `0`
-    /// disables compaction.
+    /// Opens (creating if needed) the log store rooted at `root` and
+    /// replays its file, truncating any torn tail so the next append starts
+    /// on a clean record boundary. `compact_threshold` of `0` disables
+    /// compaction.
     pub fn open(root: impl Into<PathBuf>, compact_threshold: u64) -> Result<LogStore> {
         let root = root.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| StoreError::Io(format!("create {}: {e}", root.display())))?;
+        let path = root.join(FILE_NAME);
+        let mut file = open_append(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
+            .map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
+        let (map, valid_end) = replay(&bytes);
+        if valid_end < bytes.len() as u64 {
+            // Through a handle of its own: an append handle may not
+            // truncate off Unix.
+            OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(valid_end))
+                .map_err(|e| StoreError::Io(format!("truncate {}: {e}", path.display())))?;
+        }
         Ok(LogStore {
             root,
             compact_threshold,
-            spaces: Mutex::new(HashMap::new()),
+            state: Mutex::new(State {
+                map,
+                file,
+                file_bytes: valid_end,
+                compacted_bytes: valid_end,
+            }),
         })
     }
 
-    fn ns_path(&self, ns: &str) -> PathBuf {
-        self.root.join(format!("{}.log", encode_component(ns)))
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state.lock().expect("log store poisoned")
     }
 
-    /// Loads (replaying + truncating any torn tail) or returns the cached
-    /// state of `ns`. The caller holds the `spaces` lock.
-    fn load<'a>(
-        &self,
-        spaces: &'a mut HashMap<String, NsState>,
-        ns: &str,
-    ) -> Result<&'a mut NsState> {
-        if !spaces.contains_key(ns) {
-            let path = self.ns_path(ns);
-            let mut file = OpenOptions::new()
-                .read(true)
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| StoreError::Io(format!("open {}: {e}", path.display())))?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)
-                .map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
-            let (map, valid_end) = replay(&bytes);
-            if valid_end < bytes.len() as u64 {
-                // Torn tail: drop the invalid suffix so the next append
-                // starts on a clean record boundary.
-                truncate_to(&path, valid_end)?;
-                file = OpenOptions::new()
-                    .read(true)
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| StoreError::Io(format!("reopen {}: {e}", path.display())))?;
-            }
-            spaces.insert(
-                ns.to_string(),
-                NsState {
-                    map,
-                    file,
-                    file_bytes: valid_end,
-                    compacted_bytes: valid_end,
-                },
-            );
-        }
-        Ok(spaces.get_mut(ns).expect("just inserted"))
-    }
-
-    /// Syncs the root directory, making its entries — namespace files
-    /// created since the last sync, a compaction's rename — durable.
-    /// Directories cannot be opened for syncing off Unix; there this is a
-    /// no-op.
+    /// Syncs the root directory, making its entries — the file when created
+    /// since the last sync, a compaction's rename — durable. Directories
+    /// cannot be opened for syncing off Unix; there this is a no-op.
     fn sync_dir(&self) -> Result<()> {
         #[cfg(unix)]
         File::open(&self.root)
@@ -234,16 +222,18 @@ impl LogStore {
         Ok(())
     }
 
-    /// Rewrites `ns` to a single record of its live entries.
-    fn compact(&self, ns: &str, state: &mut NsState) -> Result<()> {
+    /// Rewrites the file to a single record of the live entries. Up to the
+    /// rename a failure leaves the file as it was; after it, `state`
+    /// already appends to the rewrite.
+    fn compact(&self, state: &mut State) -> Result<()> {
         let ops: Vec<StoreOp> = state
             .map
             .iter()
             .map(|(k, v)| StoreOp::put(k.clone(), v.clone()))
             .collect();
         let frame = frame_record(&ops);
-        let path = self.ns_path(ns);
-        let tmp = self.root.join(format!("{}.compact", encode_component(ns)));
+        let path = self.root.join(FILE_NAME);
+        let tmp = self.root.join(COMPACT_NAME);
         {
             let mut out = File::create(&tmp)
                 .map_err(|e| StoreError::Io(format!("create {}: {e}", tmp.display())))?;
@@ -251,17 +241,13 @@ impl LogStore {
                 .and_then(|_| out.sync_all())
                 .map_err(|e| StoreError::Io(format!("write {}: {e}", tmp.display())))?;
         }
+        let file = open_append(&tmp)?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| StoreError::Io(format!("rename {}: {e}", path.display())))?;
-        self.sync_dir()?;
-        state.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| StoreError::Io(format!("reopen {}: {e}", path.display())))?;
+        state.file = file;
         state.file_bytes = frame.len() as u64;
         state.compacted_bytes = state.file_bytes;
-        Ok(())
+        self.sync_dir()
     }
 }
 
@@ -274,74 +260,52 @@ fn frame_record(ops: &[StoreOp]) -> Vec<u8> {
     frame
 }
 
-fn truncate_to(path: &Path, len: u64) -> Result<()> {
-    let file = OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(|e| StoreError::Io(format!("open {}: {e}", path.display())))?;
-    file.set_len(len)
-        .map_err(|e| StoreError::Io(format!("truncate {}: {e}", path.display())))?;
-    Ok(())
-}
-
 impl StoreBackend for LogStore {
-    fn get(&self, ns: &str, key: &str) -> Result<Option<Vec<u8>>> {
-        let mut spaces = self.spaces.lock().expect("log store poisoned");
-        Ok(self.load(&mut spaces, ns)?.map.get(key).cloned())
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        Ok(self.lock().map.get(key).cloned())
     }
 
-    fn scan(&self, ns: &str) -> Result<Vec<(String, Vec<u8>)>> {
-        let mut spaces = self.spaces.lock().expect("log store poisoned");
-        Ok(self
-            .load(&mut spaces, ns)?
+    fn scan(&self) -> Result<Vec<(String, Vec<u8>)>> {
+        let state = self.lock();
+        Ok(state
             .map
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect())
     }
 
-    fn append_batch(&self, ns: &str, ops: Vec<StoreOp>) -> Result<()> {
+    fn append_batch(&self, ops: Vec<StoreOp>) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
         let _span = qvsec_obs::Span::enter("store.append");
         qvsec_obs::counter("store.appends").inc();
-        let mut spaces = self.spaces.lock().expect("log store poisoned");
-        let threshold = self.compact_threshold;
         let frame = frame_record(&ops);
         qvsec_obs::counter("store.appended_bytes").add(frame.len() as u64);
-        let state = self.load(&mut spaces, ns)?;
+        let mut state = self.lock();
+        // Compact before the append that would cross the threshold, so a
+        // failed compaction fails the batch before any of it is written.
+        let grown = state.file_bytes + frame.len() as u64;
+        let threshold = self.compact_threshold;
+        if threshold > 0 && grown > threshold.max(2 * state.compacted_bytes) {
+            self.compact(&mut state)?;
+        }
         state
             .file
             .write_all(&frame)
-            .map_err(|e| StoreError::Io(format!("append {ns}: {e}")))?;
+            .map_err(|e| StoreError::Io(format!("append {FILE_NAME}: {e}")))?;
         state.file_bytes += frame.len() as u64;
-        for op in ops {
-            match op {
-                StoreOp::Put { key, value } => {
-                    state.map.insert(key, value);
-                }
-                StoreOp::Delete { key } => {
-                    state.map.remove(&key);
-                }
-            }
-        }
-        if threshold > 0 && state.file_bytes > threshold.max(2 * state.compacted_bytes) {
-            self.compact(ns, state)?;
-        }
+        apply(&mut state.map, ops);
         Ok(())
     }
 
     fn flush(&self) -> Result<()> {
         let _span = qvsec_obs::Span::enter("store.flush");
         qvsec_obs::counter("store.flushes").inc();
-        let spaces = self.spaces.lock().expect("log store poisoned");
-        for (ns, state) in spaces.iter() {
-            state
-                .file
-                .sync_all()
-                .map_err(|e| StoreError::Io(format!("sync {ns}: {e}")))?;
-        }
+        self.lock()
+            .file
+            .sync_all()
+            .map_err(|e| StoreError::Io(format!("sync {FILE_NAME}: {e}")))?;
         self.sync_dir()
     }
 
@@ -365,23 +329,18 @@ mod tests {
         {
             let store = reopen(&dir);
             store
-                .append_batch(
-                    "a/b",
-                    vec![
-                        StoreOp::put("k1", b"v1".to_vec()),
-                        StoreOp::put("k2", b"v2".to_vec()),
-                    ],
-                )
+                .append_batch(vec![
+                    StoreOp::put("k1", b"v1".to_vec()),
+                    StoreOp::put("k2", b"v2".to_vec()),
+                ])
                 .unwrap();
-            store
-                .append_batch("a/b", vec![StoreOp::delete("k1")])
-                .unwrap();
+            store.append_batch(vec![StoreOp::delete("k1")]).unwrap();
             store.flush().unwrap();
         }
         let store = reopen(&dir);
-        assert_eq!(store.get("a/b", "k1").unwrap(), None);
-        assert_eq!(store.get("a/b", "k2").unwrap(), Some(b"v2".to_vec()));
-        assert_eq!(store.scan("a/b").unwrap().len(), 1);
+        assert_eq!(store.get("k1").unwrap(), None);
+        assert_eq!(store.get("k2").unwrap(), Some(b"v2".to_vec()));
+        assert_eq!(store.scan().unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -391,19 +350,19 @@ mod tests {
         let store = reopen(&dir);
         // Three batches → three records; remember state after each.
         store
-            .append_batch("ns", vec![StoreOp::put("a", b"1".to_vec())])
+            .append_batch(vec![StoreOp::put("a", b"1".to_vec())])
             .unwrap();
         store
-            .append_batch(
-                "ns",
-                vec![StoreOp::put("b", b"22".to_vec()), StoreOp::delete("a")],
-            )
+            .append_batch(vec![
+                StoreOp::put("b", b"22".to_vec()),
+                StoreOp::delete("a"),
+            ])
             .unwrap();
         store
-            .append_batch("ns", vec![StoreOp::put("c", b"333".to_vec())])
+            .append_batch(vec![StoreOp::put("c", b"333".to_vec())])
             .unwrap();
         store.flush().unwrap();
-        let path = dir.join("ns.log");
+        let path = dir.join(FILE_NAME);
         let full = std::fs::read(&path).unwrap();
         // Record boundaries, recomputed from the framing.
         let mut boundaries = vec![0usize];
@@ -418,7 +377,7 @@ mod tests {
             // Simulate a crash that left only the first `cut` bytes.
             std::fs::write(&path, &full[..cut]).unwrap();
             let store = reopen(&dir);
-            let entries = store.scan("ns").unwrap();
+            let entries = store.scan().unwrap();
             // Recovery lands on the last whole record at or before the cut.
             let records = boundaries.iter().filter(|b| **b <= cut).count() - 1;
             let expected: Vec<(String, Vec<u8>)> = match records {
@@ -430,9 +389,9 @@ mod tests {
             assert_eq!(entries, expected, "cut at byte {cut}");
             // The truncated store accepts appends cleanly.
             store
-                .append_batch("ns", vec![StoreOp::put("z", b"9".to_vec())])
+                .append_batch(vec![StoreOp::put("z", b"9".to_vec())])
                 .unwrap();
-            assert_eq!(store.get("ns", "z").unwrap(), Some(b"9".to_vec()));
+            assert_eq!(store.get("z").unwrap(), Some(b"9".to_vec()));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -442,22 +401,22 @@ mod tests {
         let dir = scratch_dir("log-corrupt");
         let store = reopen(&dir);
         store
-            .append_batch("ns", vec![StoreOp::put("a", b"1".to_vec())])
+            .append_batch(vec![StoreOp::put("a", b"1".to_vec())])
             .unwrap();
         store
-            .append_batch("ns", vec![StoreOp::put("b", b"2".to_vec())])
+            .append_batch(vec![StoreOp::put("b", b"2".to_vec())])
             .unwrap();
         store.flush().unwrap();
         drop(store);
-        let path = dir.join("ns.log");
+        let path = dir.join(FILE_NAME);
         let mut bytes = std::fs::read(&path).unwrap();
         let first_len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize + FRAME_HEADER;
         // Flip a payload byte of the *second* record.
         bytes[first_len + FRAME_HEADER] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let store = reopen(&dir);
-        assert_eq!(store.get("ns", "a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(store.get("ns", "b").unwrap(), None, "bad record dropped");
+        assert_eq!(store.get("a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(store.get("b").unwrap(), None, "bad record dropped");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -468,23 +427,48 @@ mod tests {
         let store = LogStore::open(dir.clone(), 256).unwrap();
         for round in 0..64 {
             store
-                .append_batch(
-                    "ns",
-                    vec![StoreOp::put("hot", format!("value-{round}").into_bytes())],
-                )
+                .append_batch(vec![StoreOp::put(
+                    "hot",
+                    format!("value-{round}").into_bytes(),
+                )])
                 .unwrap();
         }
         store.flush().unwrap();
-        let size = std::fs::metadata(dir.join("ns.log")).unwrap().len();
+        let size = std::fs::metadata(dir.join(FILE_NAME)).unwrap().len();
         assert!(size <= 256 + 64, "file stays near one live record: {size}");
         assert_eq!(
-            store.get("ns", "hot").unwrap(),
+            store.get("hot").unwrap(),
             Some(b"value-63".to_vec()),
             "live value survives compaction"
         );
         drop(store);
         let store = reopen(&dir);
-        assert_eq!(store.get("ns", "hot").unwrap(), Some(b"value-63".to_vec()));
+        assert_eq!(store.get("hot").unwrap(), Some(b"value-63".to_vec()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_compaction_fails_its_batch_before_writing_it() {
+        let dir = scratch_dir("log-compact-fails");
+        let store = LogStore::open(dir.clone(), 256).unwrap();
+        store
+            .append_batch(vec![StoreOp::put("a", b"1".to_vec())])
+            .unwrap();
+        // A directory where the rewrite's temp file goes: compaction fails.
+        std::fs::create_dir(dir.join(COMPACT_NAME)).unwrap();
+        let past_threshold = vec![StoreOp::put("b", vec![0; 512])];
+        assert!(store.append_batch(past_threshold).is_err());
+        assert!(
+            store.get("b").unwrap().is_none(),
+            "the failed batch is live"
+        );
+        std::fs::remove_dir(dir.join(COMPACT_NAME)).unwrap();
+        store
+            .append_batch(vec![StoreOp::put("c", b"3".to_vec())])
+            .unwrap();
+        drop(store);
+        let expected = vec![("a".into(), b"1".to_vec()), ("c".into(), b"3".to_vec())];
+        assert_eq!(reopen(&dir).scan().unwrap(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -495,14 +479,14 @@ mod tests {
         // for the file to double instead of firing on every append.
         let dir = scratch_dir("log-no-garbage");
         let store = LogStore::open(dir.clone(), 256).unwrap();
-        let path = dir.join("ns.log");
+        let path = dir.join(FILE_NAME);
         let appends = 400;
         let mut rewrites = 0;
         let mut size = 0;
         for i in 0..appends {
             let ops = vec![StoreOp::put(format!("key-{i:04}"), b"value".to_vec())];
             let frame = frame_record(&ops).len() as u64;
-            store.append_batch("ns", ops).unwrap();
+            store.append_batch(ops).unwrap();
             let now = std::fs::metadata(&path).unwrap().len();
             // An append grows the file by its frame; a rewrite folds every
             // record into one, dropping the other frames' headers.
@@ -519,22 +503,7 @@ mod tests {
         );
         drop(store);
         let store = reopen(&dir);
-        assert_eq!(store.scan("ns").unwrap().len(), appends);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn namespaces_map_to_disjoint_files() {
-        let dir = scratch_dir("log-ns");
-        let store = reopen(&dir);
-        store
-            .append_batch("x/y", vec![StoreOp::put("k", b"1".to_vec())])
-            .unwrap();
-        store
-            .append_batch("x%2fy", vec![StoreOp::put("k", b"2".to_vec())])
-            .unwrap();
-        assert_eq!(store.get("x/y", "k").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(store.get("x%2fy", "k").unwrap(), Some(b"2".to_vec()));
+        assert_eq!(store.scan().unwrap().len(), appends);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

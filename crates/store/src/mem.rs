@@ -1,18 +1,17 @@
-//! The in-process backend: plain maps behind one mutex.
+//! The in-process backend: one ordered map behind one mutex.
 //!
-//! `MemStore` is the zero-config default — running over it is behaviour-
-//! identical to running without persistence at all (state dies with the
-//! process), which keeps every existing caller, test and benchmark
-//! unchanged unless a durable backend is explicitly configured.
+//! `MemStore` is the test fake of the [`StoreBackend`] contract: it keeps
+//! the live state a [`crate::LogStore`] would, in memory only, so its state
+//! dies with the process.
 
-use crate::{Result, StoreBackend, StoreOp};
-use std::collections::{BTreeMap, HashMap};
+use crate::{apply, Result, StoreBackend, StoreOp};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Volatile store: namespace → ordered key map.
+/// Volatile store: one ordered key map.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    spaces: Mutex<HashMap<String, BTreeMap<String, Vec<u8>>>>,
+    map: Mutex<BTreeMap<String, Vec<u8>>>,
 }
 
 impl MemStore {
@@ -23,32 +22,22 @@ impl MemStore {
 }
 
 impl StoreBackend for MemStore {
-    fn get(&self, ns: &str, key: &str) -> Result<Option<Vec<u8>>> {
-        let spaces = self.spaces.lock().expect("mem store poisoned");
-        Ok(spaces.get(ns).and_then(|m| m.get(key)).cloned())
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        Ok(self
+            .map
+            .lock()
+            .expect("mem store poisoned")
+            .get(key)
+            .cloned())
     }
 
-    fn scan(&self, ns: &str) -> Result<Vec<(String, Vec<u8>)>> {
-        let spaces = self.spaces.lock().expect("mem store poisoned");
-        Ok(spaces
-            .get(ns)
-            .map(|m| m.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-            .unwrap_or_default())
+    fn scan(&self) -> Result<Vec<(String, Vec<u8>)>> {
+        let map = self.map.lock().expect("mem store poisoned");
+        Ok(map.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
     }
 
-    fn append_batch(&self, ns: &str, ops: Vec<StoreOp>) -> Result<()> {
-        let mut spaces = self.spaces.lock().expect("mem store poisoned");
-        let map = spaces.entry(ns.to_string()).or_default();
-        for op in ops {
-            match op {
-                StoreOp::Put { key, value } => {
-                    map.insert(key, value);
-                }
-                StoreOp::Delete { key } => {
-                    map.remove(&key);
-                }
-            }
-        }
+    fn append_batch(&self, ops: Vec<StoreOp>) -> Result<()> {
+        apply(&mut self.map.lock().expect("mem store poisoned"), ops);
         Ok(())
     }
 

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use qvsec::engine::AuditEngine;
 use qvsec_data::{Domain, Schema};
 use qvsec_serve::protocol::handle_request;
-use qvsec_serve::{RegistryConfig, SessionRegistry, NS_JOURNAL};
-use qvsec_store::{LogStore, MemStore, StoreBackend, DEFAULT_COMPACT_THRESHOLD};
+use qvsec_serve::{RegistryConfig, SessionRegistry};
+use qvsec_store::{LogStore, MemStore, StoreBackend, StoreOp, DEFAULT_COMPACT_THRESHOLD};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -294,8 +294,8 @@ fn a_torn_final_journal_record_recovers_to_a_retryable_prefix() {
 
 // The durable store holds tenant state and nothing else: compiled
 // artifacts (crit sets, candidate spaces, class verdicts) stay in memory,
-// so a script that computes them leaves exactly one namespace file
-// behind — the journal.
+// so a script that computes them leaves exactly one file behind — the
+// journal.
 #[test]
 fn a_durable_store_holds_the_journal_and_nothing_else() {
     let script = [
@@ -379,7 +379,7 @@ fn a_long_history_leaves_one_record_per_tenant_and_snapshot() {
     }
     let store = log_store(&dir);
     let keys: Vec<String> = store
-        .scan(NS_JOURNAL)
+        .scan()
         .expect("scan")
         .into_iter()
         .map(|(key, _)| key)
@@ -401,5 +401,35 @@ fn a_long_history_leaves_one_record_per_tenant_and_snapshot() {
     assert_eq!(responses, baseline[history.len()..]);
 
     let _ = std::fs::remove_dir_all(&baseline_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// Releases before keyed state journaled one event per op under a sequence
+// key (`{seq:016x}`). A store still holding such a record is refused at
+// load, with an error naming the format, and left byte for byte as it was.
+#[test]
+fn a_sequence_keyed_store_is_refused_and_left_unmodified() {
+    let engine = Arc::new(AuditEngine::builder(schema(), domain()).build());
+    let mut parse_domain = domain();
+    let secret = qvsec_cq::parse_query(SECRET, &schema(), &mut parse_domain).expect("secret");
+    let state = engine.open_session(secret.clone()).snapshot();
+    // An `open` event as those releases wrote it.
+    let event = format!(
+        r#"{{"op":"open","tenant":"alice","secret":{},"state":{},"tenant_requests":1,"registry_requests":1,"registry_expired":0}}"#,
+        serde_json::to_string(&secret).unwrap(),
+        serde_json::to_string(&state).unwrap()
+    );
+    let dir = scratch_dir("sequence-keyed");
+    log_store(&dir)
+        .append_batch(vec![StoreOp::put(format!("{:016x}", 0), event)])
+        .expect("seed the old format");
+    let journal = dir.join("registry%2fjournal.log");
+    let before = std::fs::read(&journal).expect("journal file exists");
+
+    let err = SessionRegistry::with_store(engine, RegistryConfig::default(), log_store(&dir))
+        .expect_err("a sequence-keyed store is refused");
+    assert!(err.to_string().contains("sequence-keyed"), "{err}");
+    assert_eq!(std::fs::read(&journal).unwrap(), before);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
