@@ -43,8 +43,9 @@
 //! The journal is all a durable store holds: compiled artifacts are pure
 //! functions of the queries, stay in memory and are recomputed after a
 //! restart. A failed write therefore surfaces as an error, and the registry
-//! undoes the op it would have recorded, since losing tenant state silently
-//! would void the cumulative audit.
+//! takes the tenant out of memory, so its next request finds it as the
+//! store holds it: losing tenant state silently would void the cumulative
+//! audit.
 
 use crate::ServeError;
 use qvsec::session::SessionSnapshot;
@@ -148,8 +149,8 @@ fn decode<T: Deserialize>(key: &str, bytes: &[u8]) -> crate::Result<T> {
 }
 
 /// Reads `record`'s labelled snapshots through `get`. A label without a
-/// record is left out: releases that did not undo a failed write kept a
-/// failed `snapshot` op's label, and the tenant's next record listed it.
+/// record is left out: earlier releases kept the label of a `snapshot` op
+/// whose write failed, and the tenant's next record listed it.
 fn snapshots_of(
     record: &TenantRecord,
     mut get: impl FnMut(&str) -> crate::Result<Option<Vec<u8>>>,
@@ -286,6 +287,13 @@ impl Journal {
         let record = self.record(tenant)?;
         let snapshots = snapshots_of(&record, |k| self.get(k))?;
         Ok(StoredTenant { record, snapshots })
+    }
+
+    /// Whether the store holds a record for `tenant`. A store that fails to
+    /// answer is taken to hold one, so that the tenant's next request
+    /// reaches the store and fails there rather than opening it afresh.
+    pub(crate) fn holds(&self, tenant: &str) -> bool {
+        !matches!(self.get(&tenant_key(tenant)), Ok(None))
     }
 
     fn get(&self, key: &str) -> crate::Result<Option<Vec<u8>>> {

@@ -157,29 +157,6 @@ struct Tenant {
 
 type Shard = Mutex<HashMap<String, Arc<Mutex<Tenant>>>>;
 
-/// How [`SessionRegistry::tenant_entry`] came by a tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arrival {
-    /// It was live in its shard.
-    Live,
-    /// The request opened it.
-    Opened,
-    /// The request revived it from its demoted record.
-    Revived,
-}
-
-/// What an op changes in its tenant besides the request count, which is
-/// what a failed journal write has to undo.
-#[derive(Debug, Clone, Copy)]
-enum Change<'a> {
-    /// Nothing (`open`, `candidate`).
-    Nothing,
-    /// The session state (`publish`, `restore`).
-    Session,
-    /// The snapshot under this label (`snapshot`).
-    Snapshot(&'a str),
-}
-
 /// An owned, `Send + Sync`, sharded registry of tenant sessions over one
 /// shared engine. See the [module docs](self).
 #[derive(Debug)]
@@ -194,10 +171,10 @@ pub struct SessionRegistry {
     /// The durable lifecycle journal ([`SessionRegistry::with_store`]);
     /// `None` keeps today's purely in-memory behaviour.
     journal: Option<Journal>,
-    /// Ids of tenants demoted to the store by idle expiry. Their sessions
-    /// leave memory and revive from their store records on their next
-    /// request (the store itself keeps every live record's bytes in
-    /// memory).
+    /// Ids of tenants whose state lives only in the store: demoted by idle
+    /// expiry, or taken out of memory by a failed journal write. Their
+    /// sessions revive from their store records on their next request (the
+    /// store itself keeps every live record's bytes in memory).
     demoted: Mutex<HashSet<String>>,
 }
 
@@ -248,11 +225,12 @@ impl SessionRegistry {
     /// the registry-wide request and expiry totals, so a SIGKILLed process
     /// restarted over the same store answers the remainder of a request
     /// script byte-identically to a process that never died. It decodes the
-    /// live records only, O(tenants + snapshots); a store written by an
-    /// earlier release is migrated once (see [`crate::journal`]). Tenant
-    /// state is all the store holds: the engine's compiled artifacts are
-    /// pure functions of the queries, so the first requests after a restart
-    /// recompute the ones they use.
+    /// live records only, O(tenants + snapshots); a store that holds the
+    /// sequence keys of an earlier release's event log is refused and left
+    /// unmodified (see [`crate::journal`]). Tenant state is all the store
+    /// holds: the engine's compiled artifacts are pure functions of the
+    /// queries, so the first requests after a restart recompute the ones
+    /// they use.
     pub fn with_store(
         engine: Arc<AuditEngine>,
         config: RegistryConfig,
@@ -380,16 +358,15 @@ impl SessionRegistry {
     }
 
     /// Fetches the tenant's entry, opening a session when `secret` is given
-    /// and none exists, and says how it came by it. Sweeps the shard's idle
-    /// entries on the way when an idle timeout is configured — including
-    /// the requesting tenant itself: a session idle past the timeout is
-    /// expired and the request reopens a fresh one (secret required),
-    /// exactly as the protocol documents.
+    /// and none exists. Sweeps the shard's idle entries on the way when an
+    /// idle timeout is configured — including the requesting tenant itself:
+    /// a session idle past the timeout is expired and the request reopens a
+    /// fresh one (secret required), exactly as the protocol documents.
     fn tenant_entry(
         &self,
         tenant: &str,
         secret: Option<&ConjunctiveQuery>,
-    ) -> crate::Result<(Arc<Mutex<Tenant>>, Arrival)> {
+    ) -> crate::Result<Arc<Mutex<Tenant>>> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let shard = self.shard_of(tenant);
         let mut map = shard.lock().expect("shard poisoned");
@@ -405,9 +382,9 @@ impl SessionRegistry {
                     return Err(ServeError::SecretMismatch(tenant.to_string()));
                 }
                 drop(t);
-                return Ok((entry, Arrival::Live));
+                return Ok(entry);
             }
-            return Ok((Arc::clone(entry), Arrival::Live));
+            return Ok(Arc::clone(entry));
         }
         // A demoted tenant revives transparently from its store record —
         // no secret required, exactly like a live session.
@@ -421,7 +398,7 @@ impl SessionRegistry {
                 Ok(t) => {
                     let entry = Arc::new(Mutex::new(t));
                     map.insert(tenant.to_string(), Arc::clone(&entry));
-                    return Ok((entry, Arrival::Revived));
+                    return Ok(entry);
                 }
                 Err(e) => {
                     self.demoted
@@ -449,11 +426,11 @@ impl SessionRegistry {
             retired: false,
         }));
         map.insert(tenant.to_string(), Arc::clone(&entry));
-        Ok((entry, Arrival::Opened))
+        Ok(entry)
     }
 
-    /// Reads the demoted tenant's record and snapshots back from the store
-    /// and rebuilds the live tenant from them.
+    /// Reads the tenant's record and snapshots back from the store and
+    /// rebuilds the live tenant from them.
     fn revive_demoted(
         &self,
         tenant: &str,
@@ -505,81 +482,63 @@ impl SessionRegistry {
         journal.write(record, snapshot, totals)
     }
 
-    /// Runs `op` on `tenant` and journals the tenant's state after it. When
-    /// the journal write fails, the op is undone — the session state, the
-    /// snapshot label, the request count, and the tenant itself when the
-    /// request brought it into memory — so the failed request leaves the
-    /// registry as the store has it.
+    /// Runs `op` on `tenant` and journals the tenant's state after it
+    /// (with the snapshot a `snapshot` op captured under `snapshot_label`).
     fn with_tenant<R>(
         &self,
         tenant: &str,
         secret: Option<&ConjunctiveQuery>,
-        change: Change<'_>,
+        snapshot_label: Option<&str>,
         op: impl FnOnce(&mut Tenant) -> crate::Result<R>,
     ) -> crate::Result<R> {
-        let mut op = Some(op);
         loop {
-            let (entry, arrival) = self.tenant_entry(tenant, secret)?;
+            let entry = self.tenant_entry(tenant, secret)?;
             let mut t = entry.lock().expect("tenant poisoned");
             if t.retired {
-                // An idle sweep demoted this tenant between the shard-map
-                // lookup and the tenant lock. Its state already lives in
-                // the journal and the entry left the map, so re-dispatch:
-                // the next lookup revives the demoted state (or reopens),
-                // and the operation lands on live state instead of being
+                // An idle sweep or a failed journal write took this tenant
+                // out of memory between the shard-map lookup and the tenant
+                // lock, and the entry left the map, so re-dispatch: the
+                // next lookup revives the stored state (or reopens), and
+                // the operation lands on live state instead of being
                 // silently dropped at the next revival.
                 continue;
             }
-            let label = match change {
-                Change::Snapshot(label) => Some(label),
-                _ => None,
-            };
-            // The undo copies, taken only where a journal write can fail.
-            let journaled = self.journal.is_some();
-            let session =
-                (journaled && matches!(change, Change::Session)).then(|| t.session.snapshot());
-            let replaced = label
-                .filter(|_| journaled)
-                .map(|l| (l, t.snapshots.get(l).cloned()));
-            let out = (op.take().expect("operation retried after success"))(&mut t)?;
-            t.requests += 1;
-            if let Err(e) = self.journal_op(tenant, &t, label, false) {
-                t.requests -= 1;
-                if let Some(state) = session {
-                    t.session.restore(&state);
-                }
-                match replaced {
-                    Some((l, Some(snapshot))) => {
-                        t.snapshots.insert(l.to_string(), snapshot);
-                    }
-                    Some((l, None)) => {
-                        t.snapshots.remove(l);
-                    }
-                    None => {}
-                }
-                if arrival != Arrival::Live {
-                    self.withdraw(tenant, &mut t, arrival);
-                }
-                return Err(e);
-            }
-            t.last_used = Instant::now();
-            return Ok(out);
+            return self.run_locked(tenant, &mut t, snapshot_label, op);
         }
     }
 
-    /// Takes a tenant that a failed request brought into memory back out:
-    /// an opened one is dropped, a revived one returns to its demoted
-    /// record. It is retired under its lock, so a request already holding
-    /// the entry re-dispatches.
-    fn withdraw(&self, tenant: &str, t: &mut Tenant, arrival: Arrival) {
+    /// The half of [`SessionRegistry::with_tenant`] that runs under the
+    /// tenant's lock, on a live entry.
+    fn run_locked<R>(
+        &self,
+        tenant: &str,
+        t: &mut Tenant,
+        snapshot_label: Option<&str>,
+        op: impl FnOnce(&mut Tenant) -> crate::Result<R>,
+    ) -> crate::Result<R> {
+        let out = op(t)?;
+        t.requests += 1;
+        if let Err(e) = self.journal_op(tenant, t, snapshot_label, false) {
+            self.fall_back_to_store(tenant, t);
+            return Err(e);
+        }
+        t.last_used = Instant::now();
+        Ok(out)
+    }
+
+    /// Takes a tenant whose journal write failed out of memory, so that no
+    /// trace of the failed op stays: its next request finds the tenant as
+    /// the store holds it, revived from its record like a demoted tenant,
+    /// or unknown when the store holds none. It is retired under its lock,
+    /// so a request already holding the entry re-dispatches.
+    fn fall_back_to_store(&self, tenant: &str, t: &mut Tenant) {
         t.retired = true;
-        // The entry is this one: only a sweep removes entries, and it
-        // skips locked tenants.
-        self.shard_of(tenant)
-            .lock()
-            .expect("shard poisoned")
-            .remove(tenant);
-        if arrival == Arrival::Revived {
+        let stored = self.journal.as_ref().is_some_and(|j| j.holds(tenant));
+        // The entry is this one: entries leave the map only once retired,
+        // and retiring takes the tenant's lock, which this request holds.
+        let mut map = self.shard_of(tenant).lock().expect("shard poisoned");
+        map.remove(tenant);
+        if stored {
             self.demoted
                 .lock()
                 .expect("demoted index poisoned")
@@ -590,7 +549,7 @@ impl SessionRegistry {
     /// Opens (or re-validates) `tenant`'s session for `secret` without
     /// auditing anything.
     pub fn open(&self, tenant: &str, secret: &ConjunctiveQuery) -> crate::Result<usize> {
-        self.with_tenant(tenant, Some(secret), Change::Nothing, |t| {
+        self.with_tenant(tenant, Some(secret), None, |t| {
             Ok(t.session.views_published())
         })
     }
@@ -605,7 +564,7 @@ impl SessionRegistry {
         name: Option<String>,
         view: ConjunctiveQuery,
     ) -> crate::Result<SessionReport> {
-        self.with_tenant(tenant, secret, Change::Session, |t| {
+        self.with_tenant(tenant, secret, None, |t| {
             let name = name.unwrap_or_else(|| view.name.clone());
             Ok(t.session.publish_named(name, view)?)
         })
@@ -618,7 +577,7 @@ impl SessionRegistry {
         secret: Option<&ConjunctiveQuery>,
         view: &ConjunctiveQuery,
     ) -> crate::Result<SessionReport> {
-        self.with_tenant(tenant, secret, Change::Nothing, |t| {
+        self.with_tenant(tenant, secret, None, |t| {
             Ok(t.session.audit_candidate(view)?)
         })
     }
@@ -626,7 +585,7 @@ impl SessionRegistry {
     /// Saves `tenant`'s session state under `label`; returns the number of
     /// views in the captured state.
     pub fn snapshot(&self, tenant: &str, label: &str) -> crate::Result<usize> {
-        self.with_tenant(tenant, None, Change::Snapshot(label), |t| {
+        self.with_tenant(tenant, None, Some(label), |t| {
             let snap = t.session.snapshot();
             let views = snap.views_published();
             t.snapshots.insert(label.to_string(), snap);
@@ -638,7 +597,7 @@ impl SessionRegistry {
     /// restored view count. Engine artifacts evicted since the snapshot are
     /// re-derived transparently on the next audit.
     pub fn restore(&self, tenant: &str, label: &str) -> crate::Result<usize> {
-        self.with_tenant(tenant, None, Change::Session, |t| {
+        self.with_tenant(tenant, None, None, |t| {
             let snap = t
                 .snapshots
                 .get(label)
@@ -735,8 +694,8 @@ impl SessionRegistry {
     /// counters are not part of it: read them from
     /// [`AuditEngine::cache_stats`] (the metrics plane).
     /// With a store configured, each tenant also reports its journal
-    /// footprint, and demoted tenants — sessions out of memory, state in
-    /// the store — appear alongside live ones with `demoted: true`. No
+    /// footprint, and tenants out of memory report from their store
+    /// records — with `demoted: true` when idle expiry moved them there. No
     /// shard lock is held while a tenant's lock is awaited, so a long
     /// audit delays this call but no request of another tenant.
     pub fn stats(&self) -> RegistryStats {
@@ -773,9 +732,9 @@ impl SessionRegistry {
                 });
             }
         }
-        // Demoted tenants report from their store record; a record that
-        // fails to fetch is skipped (it will fail the same way — loudly —
-        // when the tenant's next request tries to revive it).
+        // Tenants out of memory report from their store record; a record
+        // that fails to fetch is skipped (it will fail the same way —
+        // loudly — when the tenant's next request tries to revive it).
         let demoted: Vec<String> = self
             .demoted
             .lock()
@@ -796,7 +755,7 @@ impl SessionRegistry {
                 requests: record.requests,
                 store_records: u.records,
                 store_bytes: u.bytes,
-                demoted: true,
+                demoted: record.demoted,
             });
         }
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
@@ -1249,6 +1208,37 @@ mod tests {
         );
     }
 
+    /// The open/publish race of a failed write, replayed through the
+    /// private dispatch path: request A's lookup opens a new tenant,
+    /// request B finds that entry, locks it first and journals a publish,
+    /// then A's own write fails. The store holds B's view, so the tenant
+    /// goes on from it instead of vanishing with A's failure.
+    #[test]
+    fn a_failed_write_keeps_what_a_racing_request_journaled() {
+        let faulty = Arc::new(FailingStore::default());
+        let store: Arc<dyn StoreBackend> = faulty.clone();
+        let reg = durable_registry(&store);
+        let secret = reg.parse("S(n, p) :- Employee(n, d, p)").unwrap();
+        let v1 = reg.parse("V1(n, d) :- Employee(n, d, p)").unwrap();
+        let v2 = reg.parse("V2(d, p) :- Employee(n, d, p)").unwrap();
+
+        // Interleaving step 1: A's lookup opens `x`.
+        let opened = reg.tenant_entry("x", Some(&secret)).unwrap();
+        // Step 2: B finds the entry live, takes its lock first and journals.
+        assert_eq!(reg.publish("x", None, None, v1).unwrap().step, 1);
+        // Step 3: A locks the entry and publishes; its write fails.
+        faulty.failing.store(true, Ordering::Relaxed);
+        let failed = reg.run_locked("x", &mut opened.lock().unwrap(), None, |t| {
+            Ok(t.session.publish_named("V2".to_string(), v2.clone())?)
+        });
+        faulty.failing.store(false, Ordering::Relaxed);
+        assert!(matches!(failed, Err(ServeError::Store(_))), "{failed:?}");
+        // B's view stands and A's does not: no secret is needed, and the
+        // next publish is step 2.
+        assert_eq!(reg.publish("x", None, None, v2).unwrap().step, 2);
+        assert_eq!(reg.stats().tenants[0].views_published, 2);
+    }
+
     #[test]
     fn stats_waits_on_a_busy_tenant_without_blocking_its_shard() {
         let reg = registry();
@@ -1342,7 +1332,7 @@ mod tests {
         reg.publish("t", Some(&secret), None, v1).unwrap();
 
         // Interleaving step 1: the request's map lookup completes.
-        let (stale, _) = reg.tenant_entry("t", None).unwrap();
+        let stale = reg.tenant_entry("t", None).unwrap();
         // Interleaving step 2: an idle sweep demotes the tenant.
         assert_eq!(reg.sweep_idle(Duration::ZERO), 1);
         assert_eq!(reg.tenant_count(), 0, "the entry left the shard map");

@@ -25,7 +25,9 @@
 //!   state, not the history that led to it;
 //! * `append_batch` is atomic — after a crash, either the whole batch is
 //!   recovered or none of it (the [`LogStore`] frames a batch as a single
-//!   checksummed record and truncates any torn tail on reopen).
+//!   checksummed record and truncates any torn tail on reopen);
+//! * a failed `append_batch` changes nothing: its batch is not live, and no
+//!   later batch is lost to it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

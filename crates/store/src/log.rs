@@ -14,8 +14,11 @@
 //! Atomicity falls out of the framing: a crash mid-write leaves a torn
 //! final record whose length or checksum cannot validate, and reopening
 //! truncates the file back to the last valid record boundary — the batch
-//! is recovered whole or not at all, never partially. The live state is a
-//! replay of every surviving record in file order.
+//! is recovered whole or not at all, never partially. An append whose write
+//! fails part-way leaves the same partial frame behind; the next append
+//! truncates it first, so no later record lands behind it (where reopening
+//! would drop it too). The live state is a replay of every surviving record
+//! in file order.
 //!
 //! Before an append would take the file past the compaction threshold, the
 //! file is rewritten to a single record holding its live entries (written
@@ -68,6 +71,9 @@ struct State {
     /// File size the last compaction wrote (the replayed size on open);
     /// the next compaction waits for twice this.
     compacted_bytes: u64,
+    /// Set when an append failed: the file may hold part of its frame past
+    /// `file_bytes`, which the next append cuts off before writing.
+    torn: bool,
 }
 
 /// Append-only-file store with checksummed records and tail-truncation
@@ -171,6 +177,16 @@ fn open_append(path: &Path) -> Result<File> {
         .map_err(|e| StoreError::Io(format!("open {}: {e}", path.display())))
 }
 
+/// Truncates `path` to `len` bytes, through a handle of its own: an append
+/// handle may not truncate off Unix.
+fn truncate(path: &Path, len: u64) -> Result<()> {
+    OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|f| f.set_len(len))
+        .map_err(|e| StoreError::Io(format!("truncate {}: {e}", path.display())))
+}
+
 impl LogStore {
     /// Opens (creating if needed) the log store rooted at `root` and
     /// replays its file, truncating any torn tail so the next append starts
@@ -187,13 +203,7 @@ impl LogStore {
             .map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
         let (map, valid_end) = replay(&bytes);
         if valid_end < bytes.len() as u64 {
-            // Through a handle of its own: an append handle may not
-            // truncate off Unix.
-            OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .and_then(|f| f.set_len(valid_end))
-                .map_err(|e| StoreError::Io(format!("truncate {}: {e}", path.display())))?;
+            truncate(&path, valid_end)?;
         }
         Ok(LogStore {
             root,
@@ -203,6 +213,7 @@ impl LogStore {
                 file,
                 file_bytes: valid_end,
                 compacted_bytes: valid_end,
+                torn: false,
             }),
         })
     }
@@ -283,6 +294,12 @@ impl StoreBackend for LogStore {
         let frame = frame_record(&ops);
         qvsec_obs::counter("store.appended_bytes").add(frame.len() as u64);
         let mut state = self.lock();
+        if state.torn {
+            // Left in place, a failed append's partial frame would end the
+            // next open's replay, dropping every record written after it.
+            truncate(&self.root.join(FILE_NAME), state.file_bytes)?;
+            state.torn = false;
+        }
         // Compact before the append that would cross the threshold, so a
         // failed compaction fails the batch before any of it is written.
         let grown = state.file_bytes + frame.len() as u64;
@@ -290,10 +307,10 @@ impl StoreBackend for LogStore {
         if threshold > 0 && grown > threshold.max(2 * state.compacted_bytes) {
             self.compact(&mut state)?;
         }
-        state
-            .file
-            .write_all(&frame)
-            .map_err(|e| StoreError::Io(format!("append {FILE_NAME}: {e}")))?;
+        if let Err(e) = state.file.write_all(&frame) {
+            state.torn = true;
+            return Err(StoreError::Io(format!("append {FILE_NAME}: {e}")));
+        }
         state.file_bytes += frame.len() as u64;
         apply(&mut state.map, ops);
         Ok(())
@@ -468,6 +485,34 @@ mod tests {
             .unwrap();
         drop(store);
         let expected = vec![("a".into(), b"1".to_vec()), ("c".into(), b"3".to_vec())];
+        assert_eq!(reopen(&dir).scan().unwrap(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_partial_frame_before_the_next() {
+        let dir = scratch_dir("log-failed-append");
+        let path = dir.join(FILE_NAME);
+        let store = reopen(&dir);
+        store
+            .append_batch(vec![StoreOp::put("a", b"1".to_vec())])
+            .unwrap();
+        // An append that fails part-way: the head of its frame reaches the
+        // file, then the write errors (here on a read-only handle).
+        let failed = vec![StoreOp::put("lost", b"x".to_vec())];
+        OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(&frame_record(&failed)[..5]))
+            .unwrap();
+        let handle = std::mem::replace(&mut store.lock().file, File::open(&path).unwrap());
+        assert!(store.append_batch(failed).is_err());
+        store.lock().file = handle;
+        store
+            .append_batch(vec![StoreOp::put("b", b"2".to_vec())])
+            .unwrap();
+        drop(store);
+        let expected = vec![("a".into(), b"1".to_vec()), ("b".into(), b"2".to_vec())];
         assert_eq!(reopen(&dir).scan().unwrap(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
