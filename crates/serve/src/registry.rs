@@ -796,8 +796,8 @@ pub struct TenantStats {
     /// Serialized bytes of those journal records.
     #[serde(default)]
     pub store_bytes: u64,
-    /// `true` when the tenant's state lives only in the store (demoted by
-    /// idle expiry); its next request revives it transparently.
+    /// `true` when idle expiry demoted the tenant: its state lives only in
+    /// the store, and its next request revives it transparently.
     #[serde(default)]
     pub demoted: bool,
 }

@@ -126,7 +126,8 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     fn scan(&self) -> Result<Vec<(String, Vec<u8>)>>;
 
     /// Applies `ops` atomically: after a crash, recovery observes either
-    /// the whole batch or none of it.
+    /// the whole batch or none of it. On an error none of it is live, and
+    /// no later batch is lost to it.
     fn append_batch(&self, ops: Vec<StoreOp>) -> Result<()>;
 
     /// Forces buffered writes down to the backing medium.
