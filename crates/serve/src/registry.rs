@@ -1233,6 +1233,9 @@ mod tests {
         });
         faulty.failing.store(false, Ordering::Relaxed);
         assert!(matches!(failed, Err(ServeError::Store(_))), "{failed:?}");
+        // The entry still holds A's view, so a request that fetched it
+        // before the failure must find it retired and re-dispatch.
+        assert!(opened.lock().unwrap().retired);
         // B's view stands and A's does not: no secret is needed, and the
         // next publish is step 2.
         assert_eq!(reg.publish("x", None, None, v2).unwrap().step, 2);
