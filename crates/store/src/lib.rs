@@ -9,9 +9,9 @@
 //! append, flush), with two implementations —
 //!
 //! * [`LogStore`] — the store: one append-only file of length-prefixed and
-//!   checksummed records, crash-tolerant truncated-tail recovery and
-//!   threshold-triggered compaction. It is memory-resident: every live
-//!   value stays in memory.
+//!   checksummed records, crash-tolerant truncated-tail recovery, and
+//!   compaction past a size threshold and on flush. It is memory-resident:
+//!   every live value stays in memory, and opening streams the file.
 //! * [`MemStore`] — an in-process map under the same contract, the fake
 //!   the serving layer's tests run over. Its state dies with the process.
 //!
@@ -130,7 +130,9 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// no later batch is lost to it.
     fn append_batch(&self, ops: Vec<StoreOp>) -> Result<()>;
 
-    /// Forces buffered writes down to the backing medium.
+    /// Forces buffered writes down to the backing medium. A backend may
+    /// rewrite its storage to the live entries first; a flush that fails
+    /// leaves every acknowledged batch in place.
     fn flush(&self) -> Result<()>;
 
     /// A short static name (`"log"`, or `"mem"` for the test fake) for
@@ -145,7 +147,8 @@ pub struct StoreConfig {
     /// Root directory of the store; a block without one is refused.
     pub path: Option<String>,
     /// Compaction threshold: before an append would take the store's file
-    /// past this many bytes, the file is rewritten to its live contents
+    /// past this many bytes, and on a flush once the file is more than
+    /// twice its live contents, the file is rewritten to those contents
     /// (default 8 MiB; `0` disables compaction).
     pub compact_threshold_bytes: Option<u64>,
 }

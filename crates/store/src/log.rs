@@ -20,34 +20,47 @@
 //! would drop it too). The live state is a replay of every surviving record
 //! in file order.
 //!
-//! Before an append would take the file past the compaction threshold, the
-//! file is rewritten to a single record holding its live entries (written
-//! to a temp file, synced, renamed over the original, then the directory
-//! synced), so deletes and overwrites do not pin disk forever; a rewrite
-//! that fails fails that append before any of it is written. The next
-//! compaction waits until the file has also doubled since the last rewrite
-//! (or since it was loaded), so a live set past the threshold — an
-//! append-only journal, say — is rewritten O(log n) times, not on every
-//! append.
+//! Compaction rewrites the file to a single record holding its live
+//! entries (written to a temp file, synced, renamed over the original, then
+//! the directory synced), so deletes and overwrites do not pin disk
+//! forever. It runs at two points:
 //!
-//! Residency: [`LogStore::open`] reads the file whole — every record
-//! checksummed, superseded values dropped — and every live value stays in
-//! memory, so `get` and `scan` never read the file again. The store costs
-//! memory in proportion to its live set, not its history: for the serving
-//! registry's tenant state, O(tenants + snapshots), demoted tenants
-//! included.
+//! * Before an append would take the file past the compaction threshold. A
+//!   rewrite that fails fails that append before any of it is written. The
+//!   next such compaction waits until the file has also doubled since the
+//!   last rewrite (or since it was loaded), so a live set past the
+//!   threshold — an append-only journal, say — is rewritten O(log n) times,
+//!   not on every append.
+//! * On [`flush`](crate::StoreBackend::flush), in place of syncing the
+//!   file, when the file is more than twice the record its live entries
+//!   would make. Only the live bytes are synced, and a drained server's
+//!   next restart reads nothing else. A rewrite that fails fails the flush
+//!   and leaves the file as it was.
+//!
+//! A threshold of `0` disables both.
+//!
+//! Residency: [`LogStore::open`] replays the file through a buffered
+//! reader, one record at a time — every record checksummed, superseded
+//! values dropped as it goes — so it holds the live entries plus one
+//! record, never the whole file. Every live value stays in memory, so `get`
+//! and `scan` never read the file again. The store costs memory in
+//! proportion to its live set, not its history: for the serving registry's
+//! tenant state, O(tenants + snapshots), demoted tenants included. Opening
+//! still reads and checksums every byte of the file: after a flush at most
+//! twice the live set, after a crash the history since the last compaction.
 //!
 //! Durability: appends are written, not synced, so they survive the
 //! process being killed at any point. [`flush`](crate::StoreBackend::flush)
-//! syncs the file and then the root directory (so a file created since the
-//! last flush keeps its directory entry), and a compaction syncs its
-//! rewrite and the directory before returning: after power loss the store
-//! holds every record up to the last flush or compaction.
+//! syncs the file (or its rewrite) and then the root directory (so a file
+//! created since the last flush keeps its directory entry), and a
+//! compaction syncs its rewrite and the directory before returning: after
+//! power loss the store holds every record up to the last flush or
+//! compaction.
 
 use crate::{apply, fnv1a_32, Result, StoreBackend, StoreError, StoreOp};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -86,25 +99,51 @@ pub struct LogStore {
     state: Mutex<State>,
 }
 
-fn encode_ops(ops: &[StoreOp]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    for op in ops {
-        match op {
-            StoreOp::Put { key, value } => {
-                payload.push(TAG_PUT);
-                payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                payload.extend_from_slice(key.as_bytes());
-                payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                payload.extend_from_slice(value);
-            }
-            StoreOp::Delete { key } => {
-                payload.push(TAG_DELETE);
-                payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                payload.extend_from_slice(key.as_bytes());
-            }
+/// One op borrowed for encoding: its key, and its value (`None` deletes).
+type OpRef<'a> = (&'a str, Option<&'a [u8]>);
+
+fn op_ref(op: &StoreOp) -> OpRef<'_> {
+    match op {
+        StoreOp::Put { key, value } => (key, Some(value)),
+        StoreOp::Delete { key } => (key, None),
+    }
+}
+
+/// The live entries of `map`, as the puts of one record.
+fn live_ops(map: &BTreeMap<String, Vec<u8>>) -> impl Iterator<Item = OpRef<'_>> + Clone {
+    map.iter().map(|(k, v)| (k.as_str(), Some(v.as_slice())))
+}
+
+/// Bytes of the record that frames `ops`.
+fn frame_len<'a>(ops: impl Iterator<Item = OpRef<'a>>) -> usize {
+    let op_len = |(key, value): OpRef| 1 + 4 + key.len() + value.map_or(0, |v| 4 + v.len());
+    FRAME_HEADER + ops.map(op_len).sum::<usize>()
+}
+
+/// Frames `ops` as one record, encoding each op once, straight into the
+/// frame: the header is reserved, the ops written after it, then the
+/// payload's length and checksum patched in.
+fn frame_record<'a>(ops: impl Iterator<Item = OpRef<'a>> + Clone) -> Result<Vec<u8>> {
+    let len = frame_len(ops.clone());
+    // Every key and value length fits in a u32 once the payload's does.
+    let payload_len = u32::try_from(len - FRAME_HEADER).map_err(|_| {
+        StoreError::Io(format!("a {len}-byte record exceeds the 4 GiB frame limit"))
+    })?;
+    let mut frame = Vec::with_capacity(len);
+    frame.extend_from_slice(&[0; FRAME_HEADER]);
+    for (key, value) in ops {
+        frame.push(if value.is_some() { TAG_PUT } else { TAG_DELETE });
+        frame.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        frame.extend_from_slice(key.as_bytes());
+        if let Some(value) = value {
+            frame.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            frame.extend_from_slice(value);
         }
     }
-    payload
+    let checksum = fnv1a_32(&frame[FRAME_HEADER..]);
+    frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+    frame[4..FRAME_HEADER].copy_from_slice(&checksum.to_le_bytes());
+    Ok(frame)
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
@@ -141,30 +180,40 @@ fn decode_ops(payload: &[u8]) -> Option<Vec<StoreOp>> {
     Some(ops)
 }
 
-/// Replays `bytes` record by record. Returns the live map and the offset of
-/// the first invalid byte (== `bytes.len()` for a clean file).
-fn replay(bytes: &[u8]) -> (BTreeMap<String, Vec<u8>>, u64) {
+/// Replays the file `reader` yields record by record, holding the live map
+/// and one record. `file_len`, the file's size, bounds every frame: one
+/// whose header or payload would run past it is a torn tail, and its
+/// claimed length is never allocated. Returns the live map and the end of
+/// the last valid record (`file_len` for a clean file); a read error is
+/// returned, not taken for a torn tail.
+fn replay(
+    mut reader: impl Read,
+    file_len: u64,
+) -> std::io::Result<(BTreeMap<String, Vec<u8>>, u64)> {
     let mut map = BTreeMap::new();
-    let mut at = 0usize;
-    while let Some(payload_len) = read_u32(bytes, at) {
-        let payload_len = payload_len as usize;
-        let Some(checksum) = read_u32(bytes, at + 4) else {
-            break;
-        };
-        let start = at + FRAME_HEADER;
-        let Some(payload) = bytes.get(start..start + payload_len) else {
+    let mut payload = Vec::new();
+    let mut at = 0u64;
+    while file_len - at >= FRAME_HEADER as u64 {
+        let mut header = [0; FRAME_HEADER];
+        reader.read_exact(&mut header)?;
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let payload_len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let end = at + FRAME_HEADER as u64 + u64::from(payload_len);
+        if end > file_len {
             break; // torn tail: the record was not fully written
-        };
-        if fnv1a_32(payload) != checksum {
+        }
+        payload.resize(payload_len as usize, 0);
+        reader.read_exact(&mut payload)?;
+        if fnv1a_32(&payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
             break; // torn or corrupted record
         }
-        let Some(ops) = decode_ops(payload) else {
+        let Some(ops) = decode_ops(&payload) else {
             break;
         };
         apply(&mut map, ops);
-        at = start + payload_len;
+        at = end;
     }
-    (map, at as u64)
+    Ok((map, at))
 }
 
 /// Opens `path` for appending (and reading), creating it when absent.
@@ -189,20 +238,19 @@ fn truncate(path: &Path, len: u64) -> Result<()> {
 
 impl LogStore {
     /// Opens (creating if needed) the log store rooted at `root` and
-    /// replays its file, truncating any torn tail so the next append starts
-    /// on a clean record boundary. `compact_threshold` of `0` disables
-    /// compaction.
+    /// replays its file record by record, truncating any torn tail so the
+    /// next append starts on a clean record boundary; a read error fails
+    /// the open. `compact_threshold` of `0` disables compaction.
     pub fn open(root: impl Into<PathBuf>, compact_threshold: u64) -> Result<LogStore> {
         let root = root.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| StoreError::Io(format!("create {}: {e}", root.display())))?;
         let path = root.join(FILE_NAME);
-        let mut file = open_append(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
-        let (map, valid_end) = replay(&bytes);
-        if valid_end < bytes.len() as u64 {
+        let file = open_append(&path)?;
+        let read_error = |e| StoreError::Io(format!("read {}: {e}", path.display()));
+        let file_len = file.metadata().map_err(read_error)?.len();
+        let (map, valid_end) = replay(BufReader::new(&file), file_len).map_err(read_error)?;
+        if valid_end < file_len {
             truncate(&path, valid_end)?;
         }
         Ok(LogStore {
@@ -237,12 +285,7 @@ impl LogStore {
     /// rename a failure leaves the file as it was; after it, `state`
     /// already appends to the rewrite.
     fn compact(&self, state: &mut State) -> Result<()> {
-        let ops: Vec<StoreOp> = state
-            .map
-            .iter()
-            .map(|(k, v)| StoreOp::put(k.clone(), v.clone()))
-            .collect();
-        let frame = frame_record(&ops);
+        let frame = frame_record(live_ops(&state.map))?;
         let path = self.root.join(FILE_NAME);
         let tmp = self.root.join(COMPACT_NAME);
         {
@@ -258,17 +301,9 @@ impl LogStore {
         state.file = file;
         state.file_bytes = frame.len() as u64;
         state.compacted_bytes = state.file_bytes;
+        state.torn = false;
         self.sync_dir()
     }
-}
-
-fn frame_record(ops: &[StoreOp]) -> Vec<u8> {
-    let payload = encode_ops(ops);
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a_32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
 }
 
 impl StoreBackend for LogStore {
@@ -291,7 +326,7 @@ impl StoreBackend for LogStore {
         }
         let _span = qvsec_obs::Span::enter("store.append");
         qvsec_obs::counter("store.appends").inc();
-        let frame = frame_record(&ops);
+        let frame = frame_record(ops.iter().map(op_ref))?;
         qvsec_obs::counter("store.appended_bytes").add(frame.len() as u64);
         let mut state = self.lock();
         if state.torn {
@@ -319,7 +354,13 @@ impl StoreBackend for LogStore {
     fn flush(&self) -> Result<()> {
         let _span = qvsec_obs::Span::enter("store.flush");
         qvsec_obs::counter("store.flushes").inc();
-        self.lock()
+        let mut state = self.lock();
+        let live_bytes = frame_len(live_ops(&state.map)) as u64;
+        if self.compact_threshold > 0 && state.file_bytes > 2 * live_bytes {
+            // Mostly superseded records: sync only the live ones.
+            return self.compact(&mut state);
+        }
+        state
             .file
             .sync_all()
             .map_err(|e| StoreError::Io(format!("sync {FILE_NAME}: {e}")))?;
@@ -490,6 +531,69 @@ mod tests {
     }
 
     #[test]
+    fn flush_rewrites_a_file_past_twice_its_live_record_unless_compaction_is_off() {
+        for threshold in [0, 1 << 20] {
+            let dir = scratch_dir("log-flush-compacts");
+            let path = dir.join(FILE_NAME);
+            let store = LogStore::open(dir.clone(), threshold).unwrap();
+            for round in 0..3 {
+                let hot = format!("value-{round}").into_bytes();
+                store
+                    .append_batch(vec![StoreOp::put("hot", hot), StoreOp::put("cold", b"c")])
+                    .unwrap();
+            }
+            let history = std::fs::read(&path).unwrap();
+            store.flush().unwrap();
+            let flushed = std::fs::read(&path).unwrap();
+            if threshold == 0 {
+                assert_eq!(flushed, history, "threshold 0 never rewrites");
+            } else {
+                let live = frame_record(live_ops(&store.lock().map)).unwrap();
+                assert_eq!(flushed, live, "one record of the live entries");
+            }
+            store.flush().unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                flushed,
+                "flushing a compact file changes no byte"
+            );
+            store.append_batch(vec![StoreOp::delete("cold")]).unwrap();
+            drop(store);
+            let expected = vec![("hot".to_string(), b"value-2".to_vec())];
+            assert_eq!(reopen(&dir).scan().unwrap(), expected);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_failed_compacting_flush_leaves_the_file_as_it_was() {
+        let dir = scratch_dir("log-flush-fails");
+        let path = dir.join(FILE_NAME);
+        let store = LogStore::open(dir.clone(), 1 << 20).unwrap();
+        for round in 0..3 {
+            store
+                .append_batch(vec![StoreOp::put("a", vec![round; 16])])
+                .unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        // A directory where the rewrite's temp file goes: compaction fails.
+        std::fs::create_dir(dir.join(COMPACT_NAME)).unwrap();
+        assert!(store.flush().is_err(), "the flush's rewrite cannot succeed");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "the file is untouched"
+        );
+        store
+            .append_batch(vec![StoreOp::put("b", b"2".to_vec())])
+            .unwrap();
+        drop(store);
+        let expected = vec![("a".into(), vec![2; 16]), ("b".into(), b"2".to_vec())];
+        assert_eq!(reopen(&dir).scan().unwrap(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_failed_append_leaves_no_partial_frame_before_the_next() {
         let dir = scratch_dir("log-failed-append");
         let path = dir.join(FILE_NAME);
@@ -503,7 +607,7 @@ mod tests {
         OpenOptions::new()
             .append(true)
             .open(&path)
-            .and_then(|mut f| f.write_all(&frame_record(&failed)[..5]))
+            .and_then(|mut f| f.write_all(&frame_record(failed.iter().map(op_ref)).unwrap()[..5]))
             .unwrap();
         let handle = std::mem::replace(&mut store.lock().file, File::open(&path).unwrap());
         assert!(store.append_batch(failed).is_err());
@@ -530,7 +634,7 @@ mod tests {
         let mut size = 0;
         for i in 0..appends {
             let ops = vec![StoreOp::put(format!("key-{i:04}"), b"value".to_vec())];
-            let frame = frame_record(&ops).len() as u64;
+            let frame = frame_len(ops.iter().map(op_ref)) as u64;
             store.append_batch(ops).unwrap();
             let now = std::fs::metadata(&path).unwrap().len();
             // An append grows the file by its frame; a rewrite folds every
