@@ -301,7 +301,6 @@ impl LogStore {
         state.file = file;
         state.file_bytes = frame.len() as u64;
         state.compacted_bytes = state.file_bytes;
-        state.torn = false;
         self.sync_dir()
     }
 }

@@ -37,10 +37,11 @@ fn shrank(bytes: usize) {
 
 struct Counting;
 
-// SAFETY: every method forwards to `System` with the caller's pointer and
-// layout unchanged, or returns null (an allocation failure the contract
-// allows). The bookkeeping only touches const-initialised thread-locals
-// without destructors, which never allocate.
+// SAFETY: both methods forward to `System` with the caller's pointer and
+// layout unchanged, or return null (an allocation failure the contract
+// allows); the default `realloc` goes through them. The bookkeeping only
+// touches const-initialised thread-locals without destructors, which never
+// allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if layout.size() > LARGEST_ALLOCATION {
@@ -58,20 +59,6 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `ptr` came from `System` with `layout` (see `alloc`).
         unsafe { System.dealloc(ptr, layout) };
         shrank(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > LARGEST_ALLOCATION {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: `ptr` came from `System` with `layout`, and the caller
-        // upholds `realloc`'s contract for `new_size`.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            shrank(layout.size());
-            grew(new_size);
-        }
-        new
     }
 }
 
