@@ -131,8 +131,8 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     fn append_batch(&self, ops: Vec<StoreOp>) -> Result<()>;
 
     /// Forces buffered writes down to the backing medium. A backend may
-    /// rewrite its storage to the live entries first; a flush that fails
-    /// leaves every acknowledged batch in place.
+    /// instead rewrite its storage to the live entries and sync that; a
+    /// flush that fails leaves every acknowledged batch in place.
     fn flush(&self) -> Result<()>;
 
     /// A short static name (`"log"`, or `"mem"` for the test fake) for
